@@ -32,24 +32,15 @@ pub struct BulkOutcome {
 /// injects the next fragment as soon as its CPU frees, and completion is
 /// the delivery of the last fragment.
 ///
+/// Bumps `am.bulk.puts` / `am.bulk.fragments` / `am.bulk.bytes` on
+/// `probe` and records the whole put's duration in the `am.bulk.put.ns`
+/// histogram. The per-fragment wire telemetry comes from whatever probe
+/// is attached to `net` itself.
+///
 /// # Panics
 ///
 /// Panics if `src == dst` or `bytes` is zero.
 pub fn bulk_put(
-    net: &mut Network,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
-    start: SimTime,
-) -> BulkOutcome {
-    bulk_put_probed(net, src, dst, bytes, start, &Probe::disabled())
-}
-
-/// [`bulk_put`] with telemetry: bumps `am.bulk.puts` / `am.bulk.fragments`
-/// / `am.bulk.bytes` and records the whole put's duration in the
-/// `am.bulk.put.ns` histogram. Note the per-fragment wire telemetry comes
-/// from whatever probe is attached to `net` itself.
-pub fn bulk_put_probed(
     net: &mut Network,
     src: NodeId,
     dst: NodeId,
@@ -164,7 +155,14 @@ mod tests {
     #[test]
     fn bulk_put_fragments_correctly() {
         let mut net = presets::am_atm(2);
-        let out = bulk_put(&mut net, NodeId(0), NodeId(1), 10_000, SimTime::ZERO);
+        let out = bulk_put(
+            &mut net,
+            NodeId(0),
+            NodeId(1),
+            10_000,
+            SimTime::ZERO,
+            &Probe::disabled(),
+        );
         assert_eq!(out.fragments, 3); // 4096 + 4096 + 1808
         assert!(out.completed_at > SimTime::ZERO);
     }
@@ -172,7 +170,14 @@ mod tests {
     #[test]
     fn bulk_put_single_fragment_for_small_payloads() {
         let mut net = presets::am_atm(2);
-        let out = bulk_put(&mut net, NodeId(0), NodeId(1), 100, SimTime::ZERO);
+        let out = bulk_put(
+            &mut net,
+            NodeId(0),
+            NodeId(1),
+            100,
+            SimTime::ZERO,
+            &Probe::disabled(),
+        );
         assert_eq!(out.fragments, 1);
     }
 
@@ -181,7 +186,14 @@ mod tests {
         // A 1-MB put over AM/ATM should achieve most of 155 Mbps.
         let mut net = presets::am_atm(2);
         let bytes = 1 << 20;
-        let out = bulk_put(&mut net, NodeId(0), NodeId(1), bytes, SimTime::ZERO);
+        let out = bulk_put(
+            &mut net,
+            NodeId(0),
+            NodeId(1),
+            bytes,
+            SimTime::ZERO,
+            &Probe::disabled(),
+        );
         let secs = out
             .completed_at
             .saturating_since(SimTime::ZERO)
@@ -196,7 +208,14 @@ mod tests {
         // fragments x RTT.
         let mut net = presets::am_atm(2);
         let bytes = 64 * FRAGMENT_BYTES;
-        let out = bulk_put(&mut net, NodeId(0), NodeId(1), bytes, SimTime::ZERO);
+        let out = bulk_put(
+            &mut net,
+            NodeId(0),
+            NodeId(1),
+            bytes,
+            SimTime::ZERO,
+            &Probe::disabled(),
+        );
         let total = out.completed_at.saturating_since(SimTime::ZERO);
         let single = {
             let mut fresh = presets::am_atm(2);

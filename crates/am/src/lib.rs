@@ -57,7 +57,7 @@ mod transport;
 pub use bench::{
     bandwidth_sweep, batched_hotspot_rate, hotspot_throughput, ping_pong, BenchPoint, RatePoint,
 };
-pub use bulk::{barrier, broadcast, bulk_put, bulk_put_probed, BulkOutcome, FRAGMENT_BYTES};
+pub use bulk::{barrier, broadcast, bulk_put, BulkOutcome, FRAGMENT_BYTES};
 pub use layer::{
     ActiveMessages, AmConfig, AmStats, BatchConfig, HandlerId, HandlerTable, MsgId, Notification,
     HANDLER_BATCH, HANDLER_REPLY, HANDLER_REQUEST,

@@ -2,7 +2,7 @@
 //! histogram measures first-launch-to-reply, and bulk transfers count
 //! their fragments.
 
-use now_am::{bulk_put_probed, ActiveMessages, AmConfig, FRAGMENT_BYTES};
+use now_am::{bulk_put, ActiveMessages, AmConfig, FRAGMENT_BYTES};
 use now_net::{presets, NodeId};
 use now_probe::Registry;
 use now_sim::SimTime;
@@ -63,7 +63,7 @@ fn bulk_put_counts_fragments() {
     let registry = Registry::new();
     let mut net = presets::am_atm(4);
     let bytes = 3 * FRAGMENT_BYTES + 100;
-    let out = bulk_put_probed(
+    let out = bulk_put(
         &mut net,
         NodeId(0),
         NodeId(2),

@@ -54,27 +54,15 @@ fn bench_network_transfer(c: &mut Criterion) {
 }
 
 fn bench_multigrid(c: &mut Criterion) {
-    use now_mem::multigrid::{run_probed, MemoryConfig};
+    use now_mem::multigrid::{run, MemoryConfig};
     let mut g = c.benchmark_group("probe_overhead/multigrid_48mb");
     g.sample_size(20);
     g.bench_function("probe_disabled", |b| {
-        b.iter(|| {
-            black_box(run_probed(
-                48,
-                MemoryConfig::local32_netram(),
-                &Probe::disabled(),
-            ))
-        })
+        b.iter(|| black_box(run(48, MemoryConfig::local32_netram(), &Probe::disabled())))
     });
     g.bench_function("probe_enabled", |b| {
         let registry = Registry::new();
-        b.iter(|| {
-            black_box(run_probed(
-                48,
-                MemoryConfig::local32_netram(),
-                &registry.probe(),
-            ))
-        })
+        b.iter(|| black_box(run(48, MemoryConfig::local32_netram(), &registry.probe())))
     });
     g.finish();
 }

@@ -6,6 +6,7 @@
 //! full paper configuration takes minutes (Table 3's two-day trace).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use now_probe::Probe;
 use std::hint::black_box;
 
 fn bench_table1_lag(c: &mut Criterion) {
@@ -22,7 +23,7 @@ fn bench_figure1_cost(c: &mut Criterion) {
 
 fn bench_table2_miss_service(c: &mut Criterion) {
     c.bench_function("table2_miss_service", |b| {
-        b.iter(|| black_box(now_bench::table2()))
+        b.iter(|| black_box(now_bench::table2(&Probe::disabled())))
     });
 }
 
@@ -31,10 +32,10 @@ fn bench_fig2_netram(c: &mut Criterion) {
     let mut g = c.benchmark_group("figure2_netram");
     g.sample_size(10);
     g.bench_function("multigrid_64mb_netram", |b| {
-        b.iter(|| black_box(run(64, MemoryConfig::local32_netram())))
+        b.iter(|| black_box(run(64, MemoryConfig::local32_netram(), &Probe::disabled())))
     });
     g.bench_function("multigrid_64mb_disk", |b| {
-        b.iter(|| black_box(run(64, MemoryConfig::local32_disk())))
+        b.iter(|| black_box(run(64, MemoryConfig::local32_disk(), &Probe::disabled())))
     });
     g.finish();
 }
@@ -49,13 +50,20 @@ fn bench_table3_coopcache(c: &mut Criterion) {
     let mut g = c.benchmark_group("table3_coopcache");
     g.sample_size(10);
     g.bench_function("client_server", |b| {
-        b.iter(|| black_box(simulate(&trace, &CacheConfig::table3(Policy::ClientServer))))
+        b.iter(|| {
+            black_box(simulate(
+                &trace,
+                &CacheConfig::table3(Policy::ClientServer),
+                &Probe::disabled(),
+            ))
+        })
     });
     g.bench_function("n_chance", |b| {
         b.iter(|| {
             black_box(simulate(
                 &trace,
                 &CacheConfig::table3(Policy::NChance { n: 2 }),
+                &Probe::disabled(),
             ))
         })
     });
@@ -95,7 +103,7 @@ fn bench_fig4_cosched(c: &mut Criterion) {
     g.sample_size(10);
     for app in &apps {
         g.bench_function(format!("local_{}", app.name.replace(' ', "_")), |b| {
-            b.iter(|| black_box(run(app, Scheduling::Local, &config)))
+            b.iter(|| black_box(run(app, Scheduling::Local, &config, &Probe::disabled())))
         });
     }
     g.finish();

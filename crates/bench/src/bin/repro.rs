@@ -15,7 +15,7 @@
 //! repro contention --timeseries-out ts.csv   # flight-recorder samples (.json for JSON)
 //! repro contention --jobs 4        # fan independent runs over 4 threads
 //! repro contention --nodes 256     # 8 cells of 32 nodes per sweep point
-//! repro contention --nodes 256 --partitions 4  # shard each run over 4 cores
+//! repro contention --nodes 256 --partitions 4  # shard the cells over 4 cores
 //! repro --bench-out BENCH_repro.json --jobs 4  # wall-time harness, serial vs parallel
 //! repro contention --util          # append the resource-utilization observatory
 //! repro contention --profile       # append host-time profile (where the wall went)
@@ -30,15 +30,15 @@
 //! machine's available parallelism and `--jobs 1` forces the legacy
 //! serial path. Output is byte-identical whatever the worker count.
 //!
-//! `--partitions N` (or `NOW_PARTITIONS`) shards each *single* run over N
-//! engine partitions — parallelism inside one simulation, orthogonal to
-//! `--jobs`' fan-out across runs. `--nodes N` (a multiple of 32) scales
-//! the contention scenario to N/32 independent 32-node cells, which is
-//! what gives a run enough width to shard. `--partitions 0` asks for one
-//! partition per core; requests clamp to the cell count, so the
-//! availability and serve reports (single-cell runs) stay serial. Output
-//! is byte-identical whatever the partition count — only wall-clock time
-//! moves.
+//! `--partitions N` (or `NOW_PARTITIONS`) shards the cells of each
+//! contention run over N engine partitions — parallelism inside one
+//! simulation, orthogonal to `--jobs`' fan-out across runs. `--nodes N`
+//! (a multiple of 32) scales the contention scenario to N/32 independent
+//! 32-node cells, which is what gives a run enough width to shard.
+//! `--partitions 0` asks for one partition per core; requests clamp to
+//! the cell count. The other reports run one event-coupled component per
+//! run and ignore the flag. Output is byte-identical whatever the
+//! partition count — only wall-clock time moves.
 
 use std::env;
 use std::process::exit;
@@ -107,7 +107,7 @@ fn usage() -> String {
          \x20 --smoke                smaller sweeps and fewer Monte-Carlo trials\n\
          \x20 --blame                append critical-path blame tables\n\
          \x20 --jobs N               fan independent runs over N worker threads\n\
-         \x20 --partitions N         shard each run over N engine partitions (0 = per core)\n\
+         \x20 --partitions N         shard contention cells over N engine partitions (0 = per core)\n\
          \x20 --nodes N              scale scaled scenarios to N nodes (multiple of 32)\n\
          \x20 --am-batch N           active-message flush quantum in us (0 = batching off)\n\
          \x20 --metrics[=FMT]        append the probe snapshot (text|csv|json)\n\
@@ -136,34 +136,19 @@ fn run_diff(args: &[String]) -> ! {
     let mut threshold = 0.10_f64;
     let mut ignore: Vec<String> = Vec::new();
     let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(arg) = it.next() {
-        if arg == "--threshold" {
-            match it.next().map(|s| s.parse()) {
-                Some(Ok(x)) if x >= 0.0 => threshold = x,
-                _ => {
-                    eprintln!("--threshold needs a non-negative relative delta (e.g. 0.15)");
-                    exit(2);
-                }
-            }
-        } else if let Some(x) = arg.strip_prefix("--threshold=") {
-            match x.parse() {
-                Ok(x) if x >= 0.0 => threshold = x,
-                _ => {
-                    eprintln!("--threshold needs a non-negative relative delta, got {x:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--ignore" {
-            match it.next() {
-                Some(s) => ignore.push(s.clone()),
-                None => {
-                    eprintln!("--ignore needs a key substring");
-                    exit(2);
-                }
-            }
-        } else if let Some(s) = arg.strip_prefix("--ignore=") {
-            ignore.push(s.to_string());
+        if let Some(x) = flag_value(
+            &arg,
+            "--threshold",
+            &mut it,
+            ("a non-negative relative delta", " (e.g. 0.15)"),
+            |s| s.parse().ok().filter(|&x: &f64| x >= 0.0),
+        ) {
+            threshold = x;
+        } else if let Some(s) = flag_value(&arg, "--ignore", &mut it, ("a key substring", ""), text)
+        {
+            ignore.push(s);
         } else if arg == "--help" || arg == "-h" {
             print!("{}", usage());
             exit(0);
@@ -171,7 +156,7 @@ fn run_diff(args: &[String]) -> ! {
             eprintln!("unknown diff flag {arg:?}\n\n{}", usage());
             exit(2);
         } else {
-            paths.push(arg.clone());
+            paths.push(arg);
         }
     }
     let [baseline_path, current_path] = paths.as_slice() else {
@@ -200,6 +185,42 @@ fn run_diff(args: &[String]) -> ! {
             exit(1);
         }
     }
+}
+
+/// What a path-valued flag needs, for [`flag_value`]'s error message.
+const FILE_PATH: (&str, &str) = ("a file path", "");
+
+/// Accepts any text as a flag value.
+fn text(s: &str) -> Option<String> {
+    Some(s.to_string())
+}
+
+/// The value of the flag `flag` when `arg` is that flag, given either as
+/// `--flag V` (the value is the next argument, taken from `rest`) or as
+/// `--flag=V`; `None` when `arg` is something else. A missing value, or
+/// one `parse` rejects, exits 2 with "`flag` needs `what`" followed by
+/// `hint` in the spaced form, or by the rejected text in the `=` form.
+fn flag_value<T>(
+    arg: &str,
+    flag: &str,
+    rest: &mut impl Iterator<Item = String>,
+    (what, hint): (&str, &str),
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    if arg == flag {
+        let value = rest.next().as_deref().and_then(&parse);
+        if value.is_none() {
+            eprintln!("{flag} needs {what}{hint}");
+            exit(2);
+        }
+        return value;
+    }
+    let inline = arg.strip_prefix(flag)?.strip_prefix('=')?;
+    if let Some(value) = parse(inline) {
+        return Some(value);
+    }
+    eprintln!("{flag} needs {what}, got {inline:?}");
+    exit(2);
 }
 
 fn main() {
@@ -239,100 +260,44 @@ fn main() {
             profile = true;
         } else if arg == "--util" {
             util = true;
-        } else if arg == "--jobs" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n >= 1 => jobs_arg = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive worker count");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--jobs=") {
-            match n.parse() {
-                Ok(n) if n >= 1 => jobs_arg = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive worker count, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--partitions" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => partitions_arg = Some(n),
-                _ => {
-                    eprintln!("--partitions needs a partition count (0 = one per core)");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--partitions=") {
-            match n.parse() {
-                Ok(n) => partitions_arg = Some(n),
-                _ => {
-                    eprintln!("--partitions needs a partition count, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--nodes" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n >= 32 && n % 32 == 0 => nodes = n,
-                _ => {
-                    eprintln!("--nodes needs a positive multiple of 32");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--nodes=") {
-            match n.parse() {
-                Ok(n) if n >= 32 && n % 32 == 0 => nodes = n,
-                _ => {
-                    eprintln!("--nodes needs a positive multiple of 32, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--am-batch" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => am_batch = n,
-                _ => {
-                    eprintln!("--am-batch needs a flush quantum in microseconds (0 = off)");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--am-batch=") {
-            match n.parse() {
-                Ok(n) => am_batch = n,
-                _ => {
-                    eprintln!("--am-batch needs a flush quantum in microseconds, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--bench-out" {
-            match it.next() {
-                Some(path) => bench_out = Some(path),
-                None => {
-                    eprintln!("--bench-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--bench-out=") {
-            bench_out = Some(path.to_string());
-        } else if arg == "--metrics-out" {
-            match it.next() {
-                Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--metrics-out=") {
-            metrics_out = Some(path.to_string());
-        } else if arg == "--profile-out" {
-            match it.next() {
-                Some(path) => profile_out = Some(path),
-                None => {
-                    eprintln!("--profile-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--profile-out=") {
-            profile_out = Some(path.to_string());
+        } else if let Some(n) = flag_value(
+            &arg,
+            "--jobs",
+            &mut it,
+            ("a positive worker count", ""),
+            |s| s.parse().ok().filter(|&n: &usize| n >= 1),
+        ) {
+            jobs_arg = Some(n);
+        } else if let Some(n) = flag_value(
+            &arg,
+            "--partitions",
+            &mut it,
+            ("a partition count", " (0 = one per core)"),
+            |s| s.parse().ok(),
+        ) {
+            partitions_arg = Some(n);
+        } else if let Some(n) = flag_value(
+            &arg,
+            "--nodes",
+            &mut it,
+            ("a positive multiple of 32", ""),
+            |s| s.parse().ok().filter(|&n: &u32| n >= 32 && n % 32 == 0),
+        ) {
+            nodes = n;
+        } else if let Some(n) = flag_value(
+            &arg,
+            "--am-batch",
+            &mut it,
+            ("a flush quantum in microseconds", " (0 = off)"),
+            |s| s.parse().ok(),
+        ) {
+            am_batch = n;
+        } else if let Some(path) = flag_value(&arg, "--bench-out", &mut it, FILE_PATH, text) {
+            bench_out = Some(path);
+        } else if let Some(path) = flag_value(&arg, "--metrics-out", &mut it, FILE_PATH, text) {
+            metrics_out = Some(path);
+        } else if let Some(path) = flag_value(&arg, "--profile-out", &mut it, FILE_PATH, text) {
+            profile_out = Some(path);
         } else if arg == "--metrics" {
             metrics = Some("text".to_string());
         } else if let Some(format) = arg.strip_prefix("--metrics=") {
@@ -341,26 +306,10 @@ fn main() {
                 exit(2);
             }
             metrics = Some(format.to_string());
-        } else if arg == "--trace-out" {
-            match it.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--trace-out=") {
-            trace_out = Some(path.to_string());
-        } else if arg == "--timeseries-out" {
-            match it.next() {
-                Some(path) => timeseries_out = Some(path),
-                None => {
-                    eprintln!("--timeseries-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--timeseries-out=") {
-            timeseries_out = Some(path.to_string());
+        } else if let Some(path) = flag_value(&arg, "--trace-out", &mut it, FILE_PATH, text) {
+            trace_out = Some(path);
+        } else if let Some(path) = flag_value(&arg, "--timeseries-out", &mut it, FILE_PATH, text) {
+            timeseries_out = Some(path);
         } else if arg == "--help" || arg == "-h" {
             print!("{}", usage());
             return;
@@ -455,17 +404,27 @@ fn main() {
         .as_ref()
         .map_or_else(Probe::disabled, Registry::probe);
 
-    // The flight recorder runs only when its output has somewhere to go.
-    let record = timeseries_out.is_some();
-    // Any live telemetry sink routes the scaled reports through the
-    // observed path, so the probe actually sees the runs it will export.
-    let observe = blame || record || profile || registry.is_some();
+    let report = now_bench::Report {
+        smoke,
+        blame,
+        // The flight recorder runs only when its output has somewhere to go.
+        record: timeseries_out.is_some(),
+        profile,
+        probe: probe.clone(),
+        jobs,
+        nodes,
+        partitions,
+        am_batch_us: am_batch,
+    };
     let mut series: Vec<(String, TimeSeries)> = Vec::new();
     let mut windowed: Vec<(String, WindowedSeries)> = Vec::new();
     // Host-time profiles from every profiled report, merged by label.
     let mut host_profile: Option<HostProfile> = None;
-    let mut merge_host = |run: &Option<HostProfile>| {
-        if let Some(p) = run {
+    let mut show = |mut r: now_bench::ObservedReport| {
+        println!("{}", r.text);
+        series.append(&mut r.series);
+        windowed.append(&mut r.windowed);
+        if let Some(p) = &r.profile {
             host_profile
                 .get_or_insert_with(HostProfile::default)
                 .merge(p);
@@ -479,13 +438,13 @@ fn main() {
         println!("{}", now_bench::figure1());
     }
     if want("table2") {
-        println!("{}", now_bench::table2_probed(&probe));
+        println!("{}", now_bench::table2(&probe));
     }
     if want("fig2") || want("figure2") {
-        println!("{}", now_bench::figure2_probed(&probe));
+        println!("{}", now_bench::figure2(&probe));
     }
     if want("table3") {
-        println!("{}", now_bench::table3_probed(!fast, &probe));
+        println!("{}", now_bench::table3(!fast, &probe));
     }
     if want("table4") {
         println!("{}", now_bench::table4());
@@ -494,7 +453,7 @@ fn main() {
         println!("{}", now_bench::figure3());
     }
     if want("fig4") || want("figure4") {
-        println!("{}", now_bench::figure4_probed(&probe));
+        println!("{}", now_bench::figure4(&probe));
     }
     if want("nfs") {
         println!("{}", now_bench::nfs_study());
@@ -506,19 +465,7 @@ fn main() {
         println!("{}", now_bench::restore_study());
     }
     if want("contention") {
-        if observe {
-            let mut r = now_bench::contention_observed_scaled(
-                smoke, blame, record, profile, &probe, jobs, nodes, partitions, am_batch,
-            );
-            println!("{}", r.text);
-            series.append(&mut r.series);
-            merge_host(&r.profile);
-        } else {
-            println!(
-                "{}",
-                now_bench::contention_scaled_jobs(smoke, jobs, nodes, partitions, am_batch)
-            );
-        }
+        show(now_bench::contention(&report));
         // The message-rate-vs-batch-quantum deliverable rides with the
         // contention report. It sweeps its own quanta internally, so the
         // table is identical whatever --am-batch (or any other flag)
@@ -526,47 +473,22 @@ fn main() {
         println!("{}", now_bench::am_batching_table());
     }
     if want("availability") {
-        if observe {
-            let mut r = now_bench::availability_observed_scaled(
-                smoke, blame, record, profile, &probe, jobs, partitions,
-            );
-            println!("{}", r.text);
-            series.append(&mut r.series);
-            merge_host(&r.profile);
-        } else {
-            println!(
-                "{}",
-                now_bench::availability_observed_scaled(
-                    smoke, false, false, false, &probe, jobs, partitions
-                )
-                .text
-            );
-        }
+        show(now_bench::availability(&report));
     }
     // The serving sweep is opt-in like the ablations: it is the unified
     // engine's population-scale story, not a paper table.
     if selected.iter().any(|s| s == "serve") {
-        let mut r = now_bench::serve_report_scaled(
-            smoke, blame, record, profile, &probe, jobs, partitions, am_batch,
-        );
-        println!("{}", r.text);
-        windowed.append(&mut r.windowed);
-        merge_host(&r.profile);
+        show(now_bench::serve(&report));
     }
     // Image distribution is likewise opt-in: cold-starting the cluster
     // from a content-addressed registry, registry-only vs cooperative.
     if selected.iter().any(|s| s == "distribute") {
-        let mut r = now_bench::distribute_report_scaled(
-            smoke, blame, record, profile, &probe, jobs, nodes, partitions, am_batch,
-        );
-        println!("{}", r.text);
-        series.append(&mut r.series);
-        merge_host(&r.profile);
+        show(now_bench::distribute(&report));
     }
     // Ablations are opt-in: they are design-choice sweeps, not paper
     // artifacts.
     if selected.iter().any(|s| s == "ablations") {
-        println!("{}", now_bench::ablations::all_jobs(jobs));
+        println!("{}", now_bench::ablations::all(jobs));
     }
 
     if let Some(path) = timeseries_out {
@@ -746,7 +668,7 @@ fn run_bench_harness(smoke: bool, jobs: usize) -> Vec<BenchEntry> {
     let trials: u64 = 2_000;
     let mut serial_mc = 0.0;
     let serial_mc_ms = time_ms(|| {
-        serial_mc = now_fault::montecarlo::software_service_mttf_hours_jobs(
+        serial_mc = now_fault::montecarlo::software_service_mttf_hours(
             &model,
             8,
             trials,
@@ -759,7 +681,7 @@ fn run_bench_harness(smoke: bool, jobs: usize) -> Vec<BenchEntry> {
     } else {
         let mut parallel_mc = 0.0;
         let ms = time_ms(|| {
-            parallel_mc = now_fault::montecarlo::software_service_mttf_hours_jobs(
+            parallel_mc = now_fault::montecarlo::software_service_mttf_hours(
                 &model,
                 8,
                 trials,
@@ -775,13 +697,19 @@ fn run_bench_harness(smoke: bool, jobs: usize) -> Vec<BenchEntry> {
         ms
     };
 
+    // Reports at `smoke` with only the worker count varying.
+    let at = |smoke: bool, jobs: usize| now_bench::Report {
+        smoke,
+        jobs,
+        ..now_bench::Report::default()
+    };
     let mut serial_table = String::new();
-    let serial_sweep_ms = time_ms(|| serial_table = now_bench::contention_jobs(smoke, 1));
+    let serial_sweep_ms = time_ms(|| serial_table = now_bench::contention(&at(smoke, 1)).text);
     let parallel_sweep_ms = if jobs == 1 {
         serial_sweep_ms
     } else {
         let mut parallel_table = String::new();
-        let ms = time_ms(|| parallel_table = now_bench::contention_jobs(smoke, jobs));
+        let ms = time_ms(|| parallel_table = now_bench::contention(&at(smoke, jobs)).text);
         assert_eq!(
             serial_table, parallel_table,
             "parallel contention sweep must match serial byte-for-byte"
@@ -790,17 +718,12 @@ fn run_bench_harness(smoke: bool, jobs: usize) -> Vec<BenchEntry> {
     };
 
     let mut serial_serve = String::new();
-    let serial_serve_ms = time_ms(|| {
-        serial_serve = now_bench::serve_report_jobs(true, false, false, &Probe::disabled(), 1).text
-    });
+    let serial_serve_ms = time_ms(|| serial_serve = now_bench::serve(&at(true, 1)).text);
     let parallel_serve_ms = if jobs == 1 {
         serial_serve_ms
     } else {
         let mut parallel_serve = String::new();
-        let ms = time_ms(|| {
-            parallel_serve =
-                now_bench::serve_report_jobs(true, false, false, &Probe::disabled(), jobs).text
-        });
+        let ms = time_ms(|| parallel_serve = now_bench::serve(&at(true, jobs)).text);
         assert_eq!(
             serial_serve, parallel_serve,
             "parallel serve sweep must match serial byte-for-byte"

@@ -16,11 +16,16 @@ pub mod ablations;
 
 use std::sync::Arc;
 
+use now_core::{
+    DistributeOutcome, DistributeSpec, FetchStrategy, NowCluster, ScenarioObservations,
+    ScenarioObserver, ScenarioOutcome, ScenarioSpec, ServeSpec,
+};
 use now_models::gator;
 use now_models::{cost, nfs as nfs_model, remote_access, techtrend};
-use now_probe::causal::CausalLog;
+use now_probe::causal::{CausalLog, DEFAULT_CAUSAL_CAPACITY};
 use now_probe::recorder::{TimeSeries, WindowedSeries};
 use now_probe::Probe;
+use now_sim::parallel::run_indexed;
 use now_sim::report::{render_figure, Series, TextTable};
 use now_sim::{HostProfile, SimDuration};
 
@@ -67,15 +72,11 @@ pub fn figure1() -> String {
     t.render()
 }
 
-/// Table 2: time to service an 8-KB file-cache miss.
-pub fn table2() -> String {
-    table2_probed(&Probe::disabled())
-}
-
-/// [`table2`] with telemetry: publishes the fault-service decomposition as
-/// `netram.fault_service.*` gauges (µs), so a snapshot can be
-/// cross-checked against the table's printed constants.
-pub fn table2_probed(probe: &Probe) -> String {
+/// Table 2: time to service an 8-KB file-cache miss. Publishes the
+/// fault-service decomposition on `probe` as `netram.fault_service.*`
+/// gauges (µs), so a snapshot can be cross-checked against the table's
+/// printed constants.
+pub fn table2(probe: &Probe) -> String {
     let model = remote_access::AccessModel::paper_defaults();
     if probe.is_enabled() {
         use remote_access::Network::{Atm155, Ethernet10};
@@ -137,17 +138,14 @@ pub fn table2_probed(probe: &Probe) -> String {
 /// Figure 2: multigrid execution time vs problem size on the three memory
 /// configurations. The three machine curves are independent, so they run
 /// on separate scoped threads.
-pub fn figure2() -> String {
-    figure2_probed(&Probe::disabled())
-}
-
-/// [`figure2`] with telemetry: every multigrid run fires the `pager.*` /
-/// `netram.*` probes and records a `mem/multigrid` span, tagged with the
-/// curve's index as the probe node (0 = disk, 1 = big DRAM, 2 = network
-/// RAM). Counter updates are atomic and the trace is sorted at export, so
-/// the snapshot is identical run to run despite the worker threads.
-pub fn figure2_probed(probe: &Probe) -> String {
-    use now_mem::multigrid::{figure2_sizes, run_probed, MemoryConfig};
+///
+/// Every multigrid run fires the `pager.*` / `netram.*` probes and
+/// records a `mem/multigrid` span, tagged with the curve's index as the
+/// probe node (0 = disk, 1 = big DRAM, 2 = network RAM). Counter updates
+/// are atomic and the trace is sorted at export, so the snapshot is
+/// identical run to run despite the worker threads.
+pub fn figure2(probe: &Probe) -> String {
+    use now_mem::multigrid::{figure2_sizes, run, MemoryConfig};
     let configs = [
         ("32 MB + disk paging", MemoryConfig::local32_disk()),
         ("128 MB local DRAM", MemoryConfig::local128()),
@@ -167,9 +165,7 @@ pub fn figure2_probed(probe: &Probe) -> String {
                         .map(|mb| {
                             (
                                 mb as f64,
-                                run_probed(mb, cfg.clone(), &worker_probe)
-                                    .total
-                                    .as_secs_f64(),
+                                run(mb, cfg.clone(), &worker_probe).total.as_secs_f64(),
                             )
                         })
                         .collect::<Vec<_>>();
@@ -194,15 +190,11 @@ pub fn figure2_probed(probe: &Probe) -> String {
 /// Table 3: cooperative caching on the 42-workstation trace.
 ///
 /// `full_length` selects the paper's two-day trace (slow; used by the
-/// repro binary) or a 12-hour version (used in tests).
-pub fn table3(full_length: bool) -> String {
-    table3_probed(full_length, &Probe::disabled())
-}
-
-/// [`table3`] with telemetry: the three policy runs fire the `cache.*`
-/// counters (aggregated across policies).
-pub fn table3_probed(full_length: bool, probe: &Probe) -> String {
-    use now_cache::{simulate_probed, CacheConfig, Policy};
+/// repro binary) or a 12-hour version (used in tests). The three policy
+/// runs fire the `cache.*` counters on `probe` (aggregated across
+/// policies).
+pub fn table3(full_length: bool, probe: &Probe) -> String {
+    use now_cache::{simulate, CacheConfig, Policy};
     use now_trace::fs::{FsTrace, FsTraceConfig};
     let mut cfg = FsTraceConfig::paper_defaults();
     if !full_length {
@@ -216,7 +208,7 @@ pub fn table3_probed(full_length: bool, probe: &Probe) -> String {
         ("Cooperative (greedy fwd)", Policy::GreedyForwarding),
         ("Cooperative (n-chance)", Policy::NChance { n: 2 }),
     ] {
-        let r = simulate_probed(&trace, &CacheConfig::table3(policy), probe);
+        let r = simulate(&trace, &CacheConfig::table3(policy), probe);
         t.row_owned(vec![
             name.to_string(),
             format!("{:.1}", r.disk_read_rate() * 100.0),
@@ -262,15 +254,11 @@ pub fn figure3() -> String {
     )
 }
 
-/// Figure 4: local vs gang scheduling slowdown per application.
-pub fn figure4() -> String {
-    figure4_probed(&Probe::disabled())
-}
-
-/// [`figure4`] with telemetry: every gang and local run fires the
-/// `cosched.*` probes (slot fill, skew, migrations, stalls).
-pub fn figure4_probed(probe: &Probe) -> String {
-    let series: Vec<Series> = now_glunix::cosched::figure4_series_probed(probe)
+/// Figure 4: local vs gang scheduling slowdown per application. Every
+/// gang and local run fires the `cosched.*` probes on `probe` (slot fill,
+/// skew, migrations, stalls).
+pub fn figure4(probe: &Probe) -> String {
+    let series: Vec<Series> = now_glunix::cosched::figure4_series(probe)
         .into_iter()
         .map(|(name, points)| Series::new(&name, points))
         .collect();
@@ -345,52 +333,132 @@ pub fn comm_layers() -> String {
     t.render()
 }
 
-/// The shared-fabric contention experiment: the coupled scenario (BSP
-/// job + out-of-core paging + cooperative cache on one engine and one
-/// fabric) swept over growing background traffic.
+/// How to run one of the scenario reports ([`contention`],
+/// [`availability`], [`serve`], [`distribute`]): the `repro` flags they
+/// share. `Report::default()` is the plain serial report at 32 nodes.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Trimmed sweeps and fewer Monte-Carlo trials, for CI.
+    pub smoke: bool,
+    /// Append critical-path blame tables (where each run's makespan went).
+    pub blame: bool,
+    /// Run the flight recorder and return its series.
+    pub record: bool,
+    /// Attribute host time to components (serial single-cell runs only).
+    pub profile: bool,
+    /// Telemetry sink every run publishes to.
+    pub probe: Probe,
+    /// Worker threads the independent runs fan out over. Forced to 1
+    /// while `probe` is enabled: concurrent runs would interleave their
+    /// gauge writes on that one registry in wall-clock order — the
+    /// nondeterminism the serial path never has. Per-run causal logs and
+    /// per-run private registries parallelise freely.
+    pub jobs: usize,
+    /// Cluster size, a positive multiple of 32. Each contention point
+    /// runs `nodes / 32` independent 32-node cells; the distribution
+    /// sweep grows to `nodes` fetchers.
+    pub nodes: u32,
+    /// Engine partitions each multi-cell contention run is sharded over
+    /// (0 = one per core). The other reports run one event-coupled
+    /// component per run and ignore it. Output is byte-identical at any
+    /// value; only wall-clock time moves.
+    pub partitions: u32,
+    /// Active-message flush quantum in µs on every run's fabric
+    /// (0 = batching off, byte-identical to the classic transport).
+    pub am_batch_us: u64,
+}
+
+impl Default for Report {
+    fn default() -> Self {
+        Report {
+            smoke: false,
+            blame: false,
+            record: false,
+            profile: false,
+            probe: Probe::disabled(),
+            jobs: 1,
+            nodes: 32,
+            partitions: 1,
+            am_batch_us: 0,
+        }
+    }
+}
+
+impl Report {
+    /// An observer for one run of this report: a fresh causal log of
+    /// `causal_capacity` records when blaming, a flight recorder at
+    /// `cadence` when recording, and host-time attribution when
+    /// profiling.
+    ///
+    /// The recorder samples registered gauges, so recording with a
+    /// disabled probe would log flat zeros — in that case the run gets a
+    /// private [`Registry`](now_probe::Registry) probe instead (whose
+    /// snapshot nobody reads; it only backs the gauges).
+    fn observer(&self, causal_capacity: usize, cadence: SimDuration) -> ScenarioObserver {
+        let probe = if self.record && !self.probe.is_enabled() {
+            now_probe::Registry::new().probe()
+        } else {
+            self.probe.clone()
+        };
+        ScenarioObserver {
+            probe,
+            causal: self
+                .blame
+                .then(|| Arc::new(CausalLog::with_capacity(causal_capacity))),
+            sample_every: self.record.then_some(cadence),
+            trace_sample_every: 1,
+            window_budget: None,
+            profile: self.profile,
+        }
+    }
+
+    /// Runs every `(spec, observer)` pair through `run` over the
+    /// report's workers (see [`Report::jobs`]), returning results in input
+    /// order, so the rendered report is byte-identical for any worker
+    /// count. Says so on stderr when any run's bounded causal log filled
+    /// up and dropped records: the blame tables about to be rendered walk
+    /// an incomplete DAG, and silence would pass that off as the whole
+    /// story.
+    fn run_all<S: Sync, R: Send>(
+        &self,
+        name: &str,
+        runs: &[(S, ScenarioObserver)],
+        run: impl Fn(&S, &ScenarioObserver) -> R + Sync,
+    ) -> Vec<R> {
+        let jobs = if self.probe.is_enabled() {
+            1
+        } else {
+            self.jobs
+        };
+        let results = run_indexed(jobs, runs, |_, (spec, observer)| run(spec, observer));
+        let dropped: u64 = runs
+            .iter()
+            .filter_map(|(_, o)| o.causal.as_ref())
+            .map(|log| log.dropped())
+            .sum();
+        if dropped > 0 {
+            eprintln!(
+                "warning: {name} causal log dropped {dropped} record(s) at capacity; \
+                 blame tables may be truncated"
+            );
+        }
+        results
+    }
+}
+
+/// The number of 32-node cells in a `nodes`-node cluster.
 ///
-/// Not a paper artifact — it demonstrates what the unified engine adds:
-/// with every subsystem's bytes on the same wires, loading the fabric
-/// degrades netram fetch latency and the parallel job's makespan
-/// *together*, where the old per-subsystem simulators could not interact
-/// at all.
-pub fn contention() -> String {
-    contention_observed(false, false, false, &Probe::disabled()).text
-}
-
-/// [`contention`] with the sweep points fanned out over `jobs` worker
-/// threads. Each point is an independent seeded scenario, so the rendered
-/// table is byte-identical to the serial one for any `jobs`.
-pub fn contention_jobs(smoke: bool, jobs: usize) -> String {
-    contention_observed_jobs(smoke, false, false, &Probe::disabled(), jobs).text
-}
-
-/// [`contention_jobs`] on a scaled cluster: `nodes` must be a positive
-/// multiple of 32, and every point runs `nodes / 32` independent 32-node
-/// cells sharded over `partitions` engine partitions (see
-/// [`ScenarioSpec::cells`](now_core::ScenarioSpec)). The rendered table
-/// is byte-identical at every `partitions` value — the knob only moves
-/// wall-clock time, which is the point of `repro --bench-out`'s
-/// single-run speedup entry.
-pub fn contention_scaled_jobs(
-    smoke: bool,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> String {
-    contention_observed_scaled(
-        smoke,
-        false,
-        false,
-        false,
-        &Probe::disabled(),
-        jobs,
-        nodes,
-        partitions,
-        am_batch_us,
-    )
-    .text
+/// # Panics
+///
+/// Panics unless `nodes` is a positive multiple of 32: the scaled
+/// reports grow in whole 32-node cells.
+fn cells_in(nodes: u32) -> u32 {
+    assert!(
+        nodes >= 32 && nodes.is_multiple_of(32),
+        "the scaled reports grow in 32-node cells; {nodes} nodes is not a \
+         positive multiple of 32"
+    );
+    nodes / 32
 }
 
 /// A rendered report plus the flight recorder's per-run gauge series
@@ -417,133 +485,41 @@ fn merge_profile(merged: &mut Option<HostProfile>, run: &Option<HostProfile>) {
     }
 }
 
-/// Says so on stderr when any run's bounded causal log filled up and
-/// dropped records: the blame tables just rendered walked an incomplete
-/// DAG, and silence would pass that off as the whole story.
-fn warn_causal_drops<'a>(
-    report: &str,
-    observers: impl Iterator<Item = &'a now_core::ScenarioObserver>,
-) {
-    let dropped: u64 = observers
-        .filter_map(|o| o.causal.as_ref())
-        .map(|log| log.dropped())
-        .sum();
-    if dropped > 0 {
-        eprintln!(
-            "warning: {report} causal log dropped {dropped} record(s) at capacity; \
-             blame tables may be truncated"
-        );
-    }
-}
-
-/// The flight recorder's sampling cadence for the observed reports: fine
-/// enough to catch the paging process's two sweeps within the scenario
-/// horizon, coarse enough to keep the CSV small.
+/// The flight recorder's sampling cadence for the contention,
+/// availability and distribution reports: fine enough to catch the paging
+/// process's two sweeps within the scenario horizon, coarse enough to
+/// keep the CSV small.
 fn recorder_cadence() -> SimDuration {
     SimDuration::from_millis(50)
 }
 
-/// An observer for one observed-report run: `blame` attaches a fresh
-/// causal log, `record` a flight recorder at [`recorder_cadence`], and
-/// `profile` asks the engine for host-time attribution.
+/// The shared-fabric contention experiment: the coupled scenario (BSP
+/// job + out-of-core paging + cooperative cache on one engine and one
+/// fabric) swept over growing background traffic.
 ///
-/// The recorder samples registered gauges, so recording with a disabled
-/// `probe` would log flat zeros — in that case the runs get a private
-/// [`Registry`] probe instead (whose snapshot nobody reads; it only backs
-/// the gauges).
-fn observer_for(
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-) -> now_core::ScenarioObserver {
-    use now_probe::Registry;
-    let probe = if record && !probe.is_enabled() {
-        Registry::new().probe()
-    } else {
-        probe.clone()
-    };
-    now_core::ScenarioObserver {
-        probe,
-        causal: blame.then(|| Arc::new(CausalLog::new())),
-        sample_every: record.then(recorder_cadence),
-        profile,
-        ..now_core::ScenarioObserver::disabled()
-    }
-}
-
-/// The worker count scenario fan-outs actually use: the caller's `jobs`,
-/// forced to 1 while a shared *enabled* probe is watching. Concurrent
-/// runs would interleave their gauge writes on that one registry in
-/// wall-clock order — the nondeterminism the serial path never has — so
-/// telemetry-carrying sweeps stay serial. Per-run causal logs and per-run
-/// private registries are unaffected: they parallelise freely.
-fn scenario_jobs(jobs: usize, probe: &Probe) -> usize {
-    if probe.is_enabled() {
-        1
-    } else {
-        jobs
-    }
-}
-
-/// [`contention`] with observability: `blame` appends a critical-path
-/// blame table per background-load point (where the BSP job's makespan
-/// went), `record` returns the flight recorder's gauge series per point,
-/// and `smoke` trims the sweep for CI. With everything off this renders
-/// byte-identically to [`contention`].
-pub fn contention_observed(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-) -> ObservedReport {
-    contention_observed_jobs(smoke, blame, record, probe, 1)
-}
-
-/// [`contention_observed`] with the sweep points fanned out over `jobs`
-/// worker threads (see [`scenario_jobs`] for when that is forced serial).
-/// Each point builds its own engine and observer, and rows render in
-/// sweep order, so the report is byte-identical for any `jobs`.
-pub fn contention_observed_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    contention_observed_scaled(smoke, blame, record, false, probe, jobs, 32, 1, 0)
-}
-
-/// [`contention_observed_jobs`] on a scaled cluster (see
-/// [`contention_scaled_jobs`] for the `nodes` / `partitions` contract).
-/// At `nodes = 32` this is exactly the classic report; beyond that each
-/// point is a population of cells and the table says so in its title.
-/// `am_batch_us` sets the active-message flush quantum on every run's
-/// fabric (0 = batching off, byte-identical to the classic transport).
+/// Not a paper artifact — it demonstrates what the unified engine adds:
+/// with every subsystem's bytes on the same wires, loading the fabric
+/// degrades netram fetch latency and the parallel job's makespan
+/// *together*, where the old per-subsystem simulators could not interact
+/// at all.
+///
+/// `blame` appends a critical-path blame table per background-load point
+/// (where the BSP job's makespan went) and `record` returns the flight
+/// recorder's gauge series per point. Beyond 32 nodes each point is a
+/// population of `nodes / 32` cells sharded over `partitions` engine
+/// partitions, and the table says so in its title.
 ///
 /// # Panics
 ///
 /// Panics unless `nodes` is a positive multiple of 32.
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-pub fn contention_observed_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> ObservedReport {
-    use now_core::{NowCluster, ScenarioSpec};
-    assert!(
-        nodes >= 32 && nodes.is_multiple_of(32),
-        "the contention scenario scales in 32-node cells; {nodes} nodes is \
-         not a positive multiple of 32"
-    );
-    let cells = nodes / 32;
-    let flows: &[u32] = if smoke { &[0, 4, 8] } else { &[0, 2, 4, 8, 16] };
+pub fn contention(report: &Report) -> ObservedReport {
+    let nodes = report.nodes;
+    let cells = cells_in(nodes);
+    let flows: &[u32] = if report.smoke {
+        &[0, 4, 8]
+    } else {
+        &[0, 2, 4, 8, 16]
+    };
     let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
     let mut t = TextTable::new(&[
         "Background flows",
@@ -564,7 +540,7 @@ pub fn contention_observed_scaled(
     let mut series = Vec::new();
     // Observers are built serially up front (fixed order), then the runs
     // fan out; results come back in sweep order.
-    let runs: Vec<(ScenarioSpec, now_core::ScenarioObserver)> = flows
+    let runs: Vec<(ScenarioSpec, ScenarioObserver)> = flows
         .iter()
         .map(|&n| {
             (
@@ -572,15 +548,17 @@ pub fn contention_observed_scaled(
                     background_flows: n,
                     seed: SEED,
                     cells,
-                    partitions,
-                    am_batch: now_am::BatchConfig::quantum_us(am_batch_us),
+                    partitions: report.partitions,
+                    am_batch: now_am::BatchConfig::quantum_us(report.am_batch_us),
                     ..ScenarioSpec::contention_default()
                 },
-                observer_for(blame, record, profile, probe),
+                report.observer(DEFAULT_CAUSAL_CAPACITY, recorder_cadence()),
             )
         })
         .collect();
-    let results = cluster.run_scenarios_observed(&runs, scenario_jobs(jobs, probe));
+    let results = report.run_all("contention", &runs, |spec, observer| {
+        cluster.run_scenario_observed(spec, observer)
+    });
     let mut merged_profile = None;
     for (&n, (out, obs)) in flows.iter().zip(results) {
         merge_profile(&mut merged_profile, &obs.profile);
@@ -600,11 +578,10 @@ pub fn contention_observed_scaled(
                 &table.render_text(&format!("Blame - job makespan, {n} background flows")),
             );
         }
-        if record {
+        if report.record {
             series.push((format!("flows={n}"), obs.timeseries));
         }
     }
-    warn_causal_drops("contention", runs.iter().map(|(_, o)| o));
     ObservedReport {
         text: format!("{}{blame_text}", t.render()),
         series,
@@ -613,31 +590,20 @@ pub fn contention_observed_scaled(
     }
 }
 
-/// Runs the coupled scenario once per entry of `flows`, returning each
-/// flow count with its outcome. Everything but the background load is
-/// held fixed, so the outcomes isolate what contention costs.
-pub fn contention_series(flows: &[u32]) -> Vec<(u32, now_core::ScenarioOutcome)> {
-    contention_series_jobs(flows, 1)
-}
-
-/// [`contention_series`] with the runs fanned out over `jobs` worker
-/// threads; outcomes are identical to the serial sweep for any `jobs`.
-pub fn contention_series_jobs(flows: &[u32], jobs: usize) -> Vec<(u32, now_core::ScenarioOutcome)> {
-    use now_core::{NowCluster, ScenarioSpec};
+/// Runs the coupled scenario once per entry of `flows`, fanned out over
+/// `jobs` worker threads, returning each flow count with its outcome in
+/// input order. Everything but the background load is held fixed, so the
+/// outcomes isolate what contention costs.
+pub fn contention_series(flows: &[u32], jobs: usize) -> Vec<(u32, ScenarioOutcome)> {
     let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
-    let specs: Vec<ScenarioSpec> = flows
-        .iter()
-        .map(|&n| ScenarioSpec {
+    run_indexed(jobs, flows, |_, &n| {
+        let spec = ScenarioSpec {
             background_flows: n,
             seed: SEED,
             ..ScenarioSpec::contention_default()
-        })
-        .collect();
-    flows
-        .iter()
-        .copied()
-        .zip(cluster.run_scenarios(&specs, jobs))
-        .collect()
+        };
+        (n, cluster.run_scenario(&spec))
+    })
 }
 
 /// One scaled contention run: `nodes / 32` independent 32-node cells at
@@ -649,18 +615,12 @@ pub fn contention_series_jobs(flows: &[u32], jobs: usize) -> Vec<(u32, now_core:
 /// # Panics
 ///
 /// Panics unless `nodes` is a positive multiple of 32.
-pub fn contention_point(flows: u32, nodes: u32, partitions: u32) -> now_core::ScenarioOutcome {
-    use now_core::{NowCluster, ScenarioSpec};
-    assert!(
-        nodes >= 32 && nodes.is_multiple_of(32),
-        "the contention scenario scales in 32-node cells; {nodes} nodes is \
-         not a positive multiple of 32"
-    );
+pub fn contention_point(flows: u32, nodes: u32, partitions: u32) -> ScenarioOutcome {
     let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
     cluster.run_scenario(&ScenarioSpec {
         background_flows: flows,
         seed: SEED,
-        cells: nodes / 32,
+        cells: cells_in(nodes),
         partitions,
         ..ScenarioSpec::contention_default()
     })
@@ -772,75 +732,22 @@ pub fn am_batching_summary() -> AmBatchingSummary {
 /// the coupled scenario re-run under injected faults.
 ///
 /// `smoke` cuts the Monte-Carlo trial count for CI; the fault scenarios
-/// are identical either way.
-pub fn availability(smoke: bool) -> String {
-    availability_probed(smoke, &Probe::disabled())
-}
-
-/// [`availability`] with the Monte-Carlo trials and the fault scenarios
-/// fanned out over `jobs` worker threads. Per-trial seed splitting and
-/// in-order reduction keep the report byte-identical for any `jobs`.
-pub fn availability_jobs(smoke: bool, jobs: usize) -> String {
-    availability_observed_jobs(smoke, false, false, &Probe::disabled(), jobs).text
-}
-
-/// [`availability`] with a telemetry probe: the scenario runs count
+/// are identical either way. The estimators split one seed per trial and
+/// reduce in trial order, so their cells — and the whole report — are
+/// byte-identical for any `jobs`. The scenario runs count
 /// `fault.injected[.kind]`, `fault.detected`, `fault.restarts`, and
-/// `fault.rebuild_chunks` on it.
-pub fn availability_probed(smoke: bool, probe: &Probe) -> String {
-    availability_observed(smoke, false, false, probe).text
-}
-
-/// [`availability`] with observability: `blame` appends, per fault
+/// `fault.rebuild_chunks` on the probe. `blame` appends, per fault
 /// scenario, a blame table for the BSP job's makespan (where the stall
 /// went) and — when a disk rebuild ran — for the rebuild chain (recovery
 /// attributed to the rebuild traffic); `record` returns the flight
-/// recorder's series per scenario. With everything off this renders
-/// byte-identically to [`availability`].
-pub fn availability_observed(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-) -> ObservedReport {
-    availability_observed_jobs(smoke, blame, record, probe, 1)
-}
-
-/// [`availability_observed`] with the Monte-Carlo trials and the fault
-/// scenarios fanned out over `jobs` worker threads. The estimators split
-/// one seed per trial and reduce in trial order, so their cells — and the
-/// whole report — are byte-identical for any `jobs` (scenario fan-out is
-/// forced serial while a shared enabled probe watches; see
-/// [`scenario_jobs`]).
-pub fn availability_observed_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    availability_observed_scaled(smoke, blame, record, false, probe, jobs, 1)
-}
-
-/// [`availability_observed_jobs`] with a `partitions` request threaded
-/// onto every scenario spec, for CLI symmetry with the contention report.
-/// Every fault scenario here is a single cell (injected faults cannot
-/// shard — their control messages have zero latency), so the request
-/// clamps to 1 and the report is byte-identical at any value.
-pub fn availability_observed_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    partitions: u32,
-) -> ObservedReport {
-    use now_core::NowCluster;
+/// recorder's series per scenario. Every fault scenario is a single cell
+/// (injected faults cannot shard), so `nodes` and `partitions` do not
+/// apply.
+pub fn availability(report: &Report) -> ObservedReport {
     use now_fault::montecarlo;
     use now_raid::availability::FailureModel;
 
-    let trials: u64 = if smoke { 200 } else { 2_000 };
+    let trials: u64 = if report.smoke { 200 } else { 2_000 };
     let m = FailureModel::paper_defaults();
     let mut mc = TextTable::new(&[
         "Quantity",
@@ -858,23 +765,23 @@ pub fn availability_observed_scaled(
         (
             "RAID-5 MTTDL",
             |m, n| m.raid5_mttdl_hours(n),
-            montecarlo::raid5_mttdl_hours_jobs,
+            montecarlo::raid5_mttdl_hours,
         ),
         (
             "Software RAID service MTTF",
             |m, n| m.software_raid_service_mttf_hours(n),
-            montecarlo::software_service_mttf_hours_jobs,
+            montecarlo::software_service_mttf_hours,
         ),
         (
             "Hardware RAID service MTTF",
             |m, n| m.hardware_raid_service_mttf_hours(n),
-            montecarlo::hardware_service_mttf_hours_jobs,
+            montecarlo::hardware_service_mttf_hours,
         ),
     ];
     for (name, closed_fn, mc_fn) in quantities {
         for n in [8u32, 16] {
             let closed = closed_fn(&m, n);
-            let estimate = mc_fn(&m, n, trials, SEED, jobs);
+            let estimate = mc_fn(&m, n, trials, SEED, report.jobs);
             mc.row_owned(vec![
                 name.to_string(),
                 format!("{n}"),
@@ -898,19 +805,18 @@ pub fn availability_observed_scaled(
     let mut blame_text = String::new();
     let mut series = Vec::new();
     let named_specs = availability_specs();
-    let runs: Vec<(now_core::ScenarioSpec, now_core::ScenarioObserver)> = named_specs
+    let runs: Vec<(ScenarioSpec, ScenarioObserver)> = named_specs
         .iter()
         .map(|(_, spec)| {
             (
-                now_core::ScenarioSpec {
-                    partitions,
-                    ..spec.clone()
-                },
-                observer_for(blame, record, profile, probe),
+                spec.clone(),
+                report.observer(DEFAULT_CAUSAL_CAPACITY, recorder_cadence()),
             )
         })
         .collect();
-    let results = cluster.run_scenarios_observed(&runs, scenario_jobs(jobs, probe));
+    let results = report.run_all("availability", &runs, |spec, observer| {
+        cluster.run_scenario_observed(spec, observer)
+    });
     let mut merged_profile = None;
     for ((name, _), (out, obs)) in named_specs.iter().zip(results) {
         merge_profile(&mut merged_profile, &obs.profile);
@@ -928,11 +834,10 @@ pub fn availability_observed_scaled(
                 blame_text.push_str(&table.render_text(&format!("Blame - {tag} chain, {name}")));
             }
         }
-        if record {
+        if report.record {
             series.push((name.to_string(), obs.timeseries));
         }
     }
-    warn_causal_drops("availability", runs.iter().map(|(_, o)| o));
     ObservedReport {
         text: format!("{}\n{}{blame_text}", mc.render(), deg.render()),
         series,
@@ -942,21 +847,22 @@ pub fn availability_observed_scaled(
 }
 
 /// The fault scenarios behind [`availability`]'s degraded-vs-healthy
-/// table: the coupled run unharmed, with a dead network-RAM host (single
-/// copy, then mirrored), with a crashed BSP worker replaced by a spare,
-/// and with a failed-then-rebuilt storage disk.
-pub fn availability_series(probe: &Probe) -> Vec<(&'static str, now_core::ScenarioOutcome)> {
-    let cluster = now_core::NowCluster::builder().nodes(32).seed(SEED).build();
+/// table, run unobserved: the coupled run unharmed, with a dead
+/// network-RAM host (single copy, then mirrored), with a crashed BSP
+/// worker replaced by a spare, and with a failed-then-rebuilt storage
+/// disk.
+pub fn availability_series() -> Vec<(&'static str, ScenarioOutcome)> {
+    let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
     availability_specs()
         .into_iter()
-        .map(|(name, spec)| (name, cluster.run_scenario_probed(&spec, probe)))
+        .map(|(name, spec)| (name, cluster.run_scenario(&spec)))
         .collect()
 }
 
 /// The named fault scenarios behind the degraded-vs-healthy table, as
 /// specs (so callers choose how to observe the runs).
-fn availability_specs() -> Vec<(&'static str, now_core::ScenarioSpec)> {
-    use now_core::{Fault, FaultPlan, ScenarioSpec};
+fn availability_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    use now_core::{Fault, FaultPlan};
     use now_sim::SimTime;
 
     let base = ScenarioSpec {
@@ -1031,10 +937,10 @@ fn serve_cadence() -> SimDuration {
 /// One population point of the serving sweep: the shared workload shape
 /// (web-like Zipf catalog, 10-second mean think time, 8-KB objects) with
 /// only the population varying.
-fn serve_spec(population: u64) -> now_core::ServeSpec {
+fn serve_spec(population: u64, am_batch_us: u64) -> ServeSpec {
     use now_cache::{AccessCosts, ServeConfig, ThinkTime};
     use now_sim::SimTime;
-    now_core::ServeSpec {
+    ServeSpec {
         config: ServeConfig {
             population,
             think: ThinkTime::Exponential { mean_ms: 10_000.0 },
@@ -1050,44 +956,16 @@ fn serve_spec(population: u64) -> now_core::ServeSpec {
         },
         front_ends: 8,
         partitions: 1,
-        am_batch: now_am::BatchConfig::disabled(),
+        am_batch: now_am::BatchConfig::quantum_us(am_batch_us),
     }
 }
 
 /// Expected open-loop request count of a serving spec: horizon times the
 /// population's aggregate arrival rate. Used to scale the causal sampling
 /// rate, so it only needs to be right to a small factor.
-fn serve_expected_requests(spec: &now_core::ServeSpec) -> u64 {
+fn serve_expected_requests(spec: &ServeSpec) -> u64 {
     let rate_per_sec = spec.config.population as f64 / (spec.config.think.mean_ns() / 1e9);
     (spec.config.horizon.as_secs_f64() * rate_per_sec) as u64
-}
-
-/// An observer for one serving run. Unlike [`observer_for`], every
-/// observation structure is memory-bounded by construction: the causal
-/// log samples ~[`SERVE_SAMPLED_CHAINS`] chains into a capacity-bounded
-/// buffer, and the flight recorder downsamples into
-/// [`SERVE_WINDOW_BUDGET`] windows.
-fn serve_observer_for(
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    expected_requests: u64,
-) -> now_core::ScenarioObserver {
-    use now_probe::Registry;
-    let probe = if record && !probe.is_enabled() {
-        Registry::new().probe()
-    } else {
-        probe.clone()
-    };
-    now_core::ScenarioObserver {
-        probe,
-        causal: blame.then(|| Arc::new(CausalLog::with_capacity(SERVE_CAUSAL_CAPACITY))),
-        sample_every: record.then(serve_cadence),
-        trace_sample_every: (expected_requests / SERVE_SAMPLED_CHAINS).max(1),
-        window_budget: record.then_some(SERVE_WINDOW_BUDGET),
-        profile,
-    }
 }
 
 /// The population-scale serving report: the building as a campus server.
@@ -1098,43 +976,15 @@ fn serve_observer_for(
 /// stays flat as the population (and event count) grows — the point of
 /// the streaming observation layer. A saturation line marks where open-
 /// loop arrivals outrun the server and p99 explodes.
-pub fn serve_report(smoke: bool) -> String {
-    serve_report_jobs(smoke, false, false, &Probe::disabled(), 1).text
-}
-
-/// [`serve_report`] with observability and fan-out: `blame` appends a
-/// critical-path table for one sampled request chain per population,
-/// `record` returns the windowed flight-recorder series, and the sweep
-/// points run over `jobs` worker threads (byte-identical output for any
-/// `jobs`; forced serial while a shared enabled probe watches).
-pub fn serve_report_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    serve_report_scaled(smoke, blame, record, false, probe, jobs, 1, 0)
-}
-
-/// [`serve_report_jobs`] with a `partitions` request threaded onto every
-/// serving spec, for CLI symmetry with the contention report. The whole
-/// population is one event-coupled component (every request contends for
-/// one server cache), so the request clamps to 1 and the report is
-/// byte-identical at any value.
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-pub fn serve_report_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    partitions: u32,
-    am_batch_us: u64,
-) -> ObservedReport {
-    use now_core::{NowCluster, ScenarioObserver, ServeSpec};
-    let populations: &[u64] = if smoke {
+///
+/// `blame` appends a critical-path table for one sampled request chain
+/// per population and `record` returns the windowed flight-recorder
+/// series. Every observation structure is memory-bounded by
+/// construction: the causal log samples ~[`SERVE_SAMPLED_CHAINS`] chains
+/// into a capacity-bounded buffer, and the flight recorder downsamples
+/// into [`SERVE_WINDOW_BUDGET`] windows.
+pub fn serve(report: &Report) -> ObservedReport {
+    let populations: &[u64] = if report.smoke {
         &[20_000, 100_000, 1_000_000]
     } else {
         &[20_000, 100_000, 1_000_000, 5_000_000, 20_000_000]
@@ -1155,17 +1005,18 @@ pub fn serve_report_scaled(
     let runs: Vec<(ServeSpec, ScenarioObserver)> = populations
         .iter()
         .map(|&p| {
-            let mut spec = serve_spec(p);
-            spec.partitions = partitions;
-            spec.am_batch = now_am::BatchConfig::quantum_us(am_batch_us);
-            let expected = serve_expected_requests(&spec);
-            (
-                spec,
-                serve_observer_for(blame, record, profile, probe, expected),
-            )
+            let spec = serve_spec(p, report.am_batch_us);
+            let observer = ScenarioObserver {
+                trace_sample_every: (serve_expected_requests(&spec) / SERVE_SAMPLED_CHAINS).max(1),
+                window_budget: report.record.then_some(SERVE_WINDOW_BUDGET),
+                ..report.observer(SERVE_CAUSAL_CAPACITY, serve_cadence())
+            };
+            (spec, observer)
         })
         .collect();
-    let results = cluster.run_serves_observed(&runs, scenario_jobs(jobs, probe));
+    let results = report.run_all("serve", &runs, |spec, observer| {
+        cluster.run_serve_observed(spec, observer)
+    });
     let mut blame_text = String::new();
     let mut windowed = Vec::new();
     let mut merged_profile = None;
@@ -1192,7 +1043,7 @@ pub fn serve_report_scaled(
                 &table.render_text(&format!("Blame - sampled request chain, population {pop}")),
             );
         }
-        if record {
+        if report.record {
             windowed.push((format!("pop={pop}"), obs.windowed));
         }
     }
@@ -1209,7 +1060,6 @@ pub fn serve_report_scaled(
         }
         None => String::from("Saturation: not reached within the sweep\n"),
     };
-    warn_causal_drops("serve", runs.iter().map(|(_, o)| o));
     ObservedReport {
         text: format!("{}{saturation}{blame_text}", t.render()),
         series: Vec::new(),
@@ -1266,74 +1116,21 @@ fn distribute_sweep(smoke: bool, max_nodes: u32) -> Vec<u32> {
     points
 }
 
-/// An observer for one distribution run. The whole run is a single
-/// causal trace (one root fans out to every fetcher), so blame sampling
-/// is all-or-nothing: `trace_sample_every` is pinned to 1.
-fn distribute_observer_for(
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-) -> now_core::ScenarioObserver {
-    use now_probe::Registry;
-    let probe = if record && !probe.is_enabled() {
-        Registry::new().probe()
-    } else {
-        probe.clone()
-    };
-    now_core::ScenarioObserver {
-        probe,
-        causal: blame.then(|| Arc::new(CausalLog::with_capacity(DISTRIBUTE_CAUSAL_CAPACITY))),
-        sample_every: record.then(recorder_cadence),
-        trace_sample_every: 1,
-        profile,
-        ..now_core::ScenarioObserver::disabled()
-    }
-}
-
-/// One strategy's spec at one sweep point.
-fn distribute_spec(
-    smoke: bool,
-    strategy: now_core::FetchStrategy,
-    fetchers: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> now_core::DistributeSpec {
-    now_core::DistributeSpec {
-        catalog: distribute_catalog(smoke),
-        fetchers,
-        registry_nics: DISTRIBUTE_REGISTRY_NICS,
-        cache_budget: DISTRIBUTE_CACHE_BUDGET,
-        strategy,
-        seed: SEED,
-        horizon: now_sim::SimTime::from_secs(1),
-        partitions,
-        am_batch: now_am::BatchConfig::quantum_us(am_batch_us),
-    }
-}
-
 /// Both strategies at every sweep point:
 /// `(fetchers, registry run, cooperative run)` in sweep order.
 type DistributePoint = (
     u32,
-    (now_core::DistributeOutcome, now_core::ScenarioObservations),
-    (now_core::DistributeOutcome, now_core::ScenarioObservations),
+    (DistributeOutcome, ScenarioObservations),
+    (DistributeOutcome, ScenarioObservations),
 );
 
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-fn distribute_points(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> Vec<DistributePoint> {
-    use now_core::{DistributeSpec, FetchStrategy, NowCluster, ScenarioObserver};
-    let sweep = distribute_sweep(smoke, nodes);
+/// Runs the distribution sweep both ways. The whole of one run is a
+/// single causal trace (one root fans out to every fetcher), so blame
+/// sampling is all-or-nothing: every chain is recorded.
+fn distribute_points(report: &Report) -> Vec<DistributePoint> {
+    // The sweep grows in whole 32-node cells, like every scaled report.
+    cells_in(report.nodes);
+    let sweep = distribute_sweep(report.smoke, report.nodes);
     let max_fetchers = *sweep.last().expect("sweep is never empty");
     let cluster = NowCluster::builder()
         .nodes(max_fetchers + DISTRIBUTE_REGISTRY_NICS)
@@ -1343,97 +1140,59 @@ fn distribute_points(
     // read of the results still pairs correctly.
     let runs: Vec<(DistributeSpec, ScenarioObserver)> = sweep
         .iter()
-        .flat_map(|&f| {
-            [FetchStrategy::Registry, FetchStrategy::Cooperative].map(|s| {
+        .flat_map(|&fetchers| {
+            [FetchStrategy::Registry, FetchStrategy::Cooperative].map(|strategy| {
+                let spec = DistributeSpec {
+                    catalog: distribute_catalog(report.smoke),
+                    fetchers,
+                    registry_nics: DISTRIBUTE_REGISTRY_NICS,
+                    cache_budget: DISTRIBUTE_CACHE_BUDGET,
+                    strategy,
+                    seed: SEED,
+                    horizon: now_sim::SimTime::from_secs(1),
+                    partitions: 1,
+                    am_batch: now_am::BatchConfig::quantum_us(report.am_batch_us),
+                };
                 (
-                    distribute_spec(smoke, s, f, partitions, am_batch_us),
-                    distribute_observer_for(blame, record, profile, probe),
+                    spec,
+                    report.observer(DISTRIBUTE_CAUSAL_CAPACITY, recorder_cadence()),
                 )
             })
         })
         .collect();
-    let mut results = cluster
-        .run_distributes_observed(&runs, scenario_jobs(jobs, probe))
+    let mut results = report
+        .run_all("distribute", &runs, |spec, observer| {
+            cluster.run_distribute_observed(spec, observer)
+        })
         .into_iter();
-    let points = sweep
+    sweep
         .iter()
         .map(|&f| {
             let registry = results.next().expect("one registry run per point");
             let cooperative = results.next().expect("one cooperative run per point");
             (f, registry, cooperative)
         })
-        .collect();
-    warn_causal_drops("distribute", runs.iter().map(|(_, o)| o));
-    points
+        .collect()
 }
 
 /// The image-distribution report: cold-starting the cluster from a
-/// content-addressed registry, registry-only vs cooperative.
+/// content-addressed registry, registry-only vs cooperative, at fetcher
+/// counts up to `nodes`.
 ///
 /// Not a paper artifact — it extends the serving story to the step the
 /// paper takes for granted: getting identical software onto N nodes.
 /// Content addressing dedups the catalog (the table's dedup factor) and
 /// the sweep shows the crossover where peer-to-peer block exchange beats
-/// hammering the registry, as its NICs saturate.
-pub fn distribute_report(smoke: bool) -> String {
-    distribute_report_jobs(smoke, false, false, &Probe::disabled(), 1).text
-}
-
-/// [`distribute_report`] with observability and fan-out: `blame` appends
+/// hammering the registry, as its NICs saturate. `blame` appends
 /// critical-path blame tables (where the largest cold start's makespan
-/// went, per strategy), `record` returns the flight recorder's gauge
-/// series per run, and the sweep fans out over `jobs` worker threads
-/// (byte-identical output for any `jobs`; forced serial while a shared
-/// enabled probe watches).
-pub fn distribute_report_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    distribute_report_scaled(smoke, blame, record, false, probe, jobs, 32, 1, 0)
-}
-
-/// [`distribute_report_jobs`] with the sweep extended to `nodes`
-/// fetchers and a `partitions` request threaded onto every spec, for CLI
-/// symmetry with the contention report. A distribution run is one
-/// event-coupled component (every fetch contends for the same registry
-/// NICs and tracker), so the request clamps to 1 and the report is
-/// byte-identical at any value.
+/// went, per strategy) and `record` returns the flight recorder's gauge
+/// series per run.
 ///
 /// # Panics
 ///
-/// Panics unless `nodes` is a positive multiple of 32 (the CLI
-/// contract shared by every scaled report).
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-pub fn distribute_report_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> ObservedReport {
-    assert!(
-        nodes >= 32 && nodes.is_multiple_of(32),
-        "the distribution sweep scales like the other reports; {nodes} nodes \
-         is not a positive multiple of 32"
-    );
-    let points = distribute_points(
-        smoke,
-        blame,
-        record,
-        profile,
-        probe,
-        jobs,
-        nodes,
-        partitions,
-        am_batch_us,
-    );
+/// Panics unless `nodes` is a positive multiple of 32.
+pub fn distribute(report: &Report) -> ObservedReport {
+    let points = distribute_points(report);
     let mut t = TextTable::new(&[
         "Nodes",
         "Dedup",
@@ -1486,7 +1245,7 @@ pub fn distribute_report_scaled(
                 }
             }
         }
-        if record {
+        if report.record {
             series.push((format!("registry n={f}"), reg_obs.timeseries.clone()));
             series.push((format!("cooperative n={f}"), coop_obs.timeseries.clone()));
         }
@@ -1521,7 +1280,10 @@ pub struct DistributeSummary {
 /// Runs the (smoke or full) sweep unobserved and extracts the headline
 /// numbers the bench JSON records.
 pub fn distribute_summary(smoke: bool) -> DistributeSummary {
-    let points = distribute_points(smoke, false, false, false, &Probe::disabled(), 1, 32, 1, 0);
+    let points = distribute_points(&Report {
+        smoke,
+        ..Report::default()
+    });
     let crossover = points
         .iter()
         .find(|(_, (reg, _), (coop, _))| coop.makespan_ms() < reg.makespan_ms())
@@ -1559,12 +1321,19 @@ pub fn restore_study() -> String {
 mod tests {
     use super::*;
 
+    fn smoke() -> Report {
+        Report {
+            smoke: true,
+            ..Report::default()
+        }
+    }
+
     #[test]
     fn every_report_renders_nonempty() {
         for (name, text) in [
             ("table1", table1()),
             ("figure1", figure1()),
-            ("table2", table2()),
+            ("table2", table2(&Probe::disabled())),
             ("table4", table4()),
             ("nfs", nfs_study()),
             ("comm", comm_layers()),
@@ -1579,7 +1348,7 @@ mod tests {
         // The unified engine's headline property: netram fetch latency and
         // the coupled job's makespan both worsen, and only worsen, as
         // competing traffic grows on the shared fabric.
-        let series = contention_series(&[0, 2, 4, 8, 16]);
+        let series = contention_series(&[0, 2, 4, 8, 16], 1);
         let fetch: Vec<f64> = series
             .iter()
             .map(|(_, out)| out.mean_netram_fetch_us.expect("netram in use"))
@@ -1606,17 +1375,17 @@ mod tests {
 
     #[test]
     fn availability_report_renders_and_is_deterministic() {
-        let a = availability(true);
+        let a = availability(&smoke()).text;
         assert!(a.contains("Monte-Carlo"), "{a}");
         assert!(a.contains("RAID-5 MTTDL"), "{a}");
         assert!(a.contains("worker crash + spare"), "{a}");
         assert!(a.contains("disk fail + rebuild"), "{a}");
-        assert_eq!(a, availability(true), "fixed seed must reproduce");
+        assert_eq!(a, availability(&smoke()).text, "fixed seed must reproduce");
     }
 
     #[test]
     fn availability_scenarios_degrade_where_they_should() {
-        let series = availability_series(&Probe::disabled());
+        let series = availability_series();
         let get = |name: &str| {
             series
                 .iter()
@@ -1641,34 +1410,34 @@ mod tests {
 
     #[test]
     fn contention_report_renders() {
-        let t = contention();
+        let t = contention(&Report::default()).text;
         assert!(t.contains("Background flows"), "{t}");
         assert!(t.lines().count() > 4, "{t}");
     }
 
     #[test]
     fn serve_report_renders_and_is_deterministic() {
-        let a = serve_report(true);
+        let a = serve(&smoke()).text;
         assert!(a.contains("Serving at building scale"), "{a}");
         assert!(a.contains("Saturation:"), "{a}");
         assert!(a.lines().count() > 5, "{a}");
-        assert_eq!(a, serve_report(true), "fixed seed must reproduce");
+        assert_eq!(a, serve(&smoke()).text, "fixed seed must reproduce");
     }
 
     #[test]
     fn distribute_report_renders_and_is_deterministic() {
-        let a = distribute_report(true);
+        let a = distribute(&smoke()).text;
         assert!(a.contains("Image distribution"), "{a}");
         assert!(a.contains("Crossover:"), "{a}");
         assert!(a.lines().count() > 5, "{a}");
-        assert_eq!(a, distribute_report(true), "fixed seed must reproduce");
+        assert_eq!(a, distribute(&smoke()).text, "fixed seed must reproduce");
     }
 
     #[test]
     fn distribute_crossover_emerges_within_the_smoke_sweep() {
         // The subsystem's headline claim: registry-only wins (or ties)
         // while its NICs are idle, cooperative wins once they saturate.
-        let points = distribute_points(true, false, false, false, &Probe::disabled(), 1, 32, 1, 0);
+        let points = distribute_points(&smoke());
         let (first, (first_reg, _), (first_coop, _)) = points.first().expect("sweep");
         assert!(
             first_reg.makespan_ms() <= first_coop.makespan_ms(),
@@ -1699,7 +1468,7 @@ mod tests {
     fn serve_observation_footprint_is_flat_across_the_sweep() {
         // Every population prints the same observation KB cell: the
         // sketch is O(buckets) however many requests stream through it.
-        let report = serve_report(true);
+        let report = serve(&smoke()).text;
         let obs_cells: Vec<&str> = report
             .lines()
             .filter(|l| l.chars().next().is_some_and(|c| c.is_ascii_digit()))
@@ -1714,7 +1483,7 @@ mod tests {
 
     #[test]
     fn table2_prints_the_paper_totals() {
-        let t = table2();
+        let t = table2(&Probe::disabled());
         for expected in ["6900", "21700", "1050", "15850"] {
             assert!(t.contains(expected), "missing {expected} in:\n{t}");
         }

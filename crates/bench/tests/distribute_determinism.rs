@@ -1,49 +1,23 @@
-//! The distribution report's contracts, end to end: byte-identical
-//! output across repeated runs, worker counts, and partition requests;
-//! byte-identical delivered images across strategies; and a crossover
-//! that lands inside the sweep.
+//! The distribution report's contracts, end to end: blame tables that do
+//! not depend on the worker count, byte-identical delivered images across
+//! strategies, and a crossover that lands inside the sweep. Byte identity
+//! of the report across runs, worker counts and partition requests is
+//! checked with every other report in `parallel_determinism.rs`.
 
-use now_probe::Probe;
-
-#[test]
-fn distribute_report_is_byte_identical_across_runs_and_jobs() {
-    let serial = now_bench::distribute_report_jobs(true, false, false, &Probe::disabled(), 1);
-    for jobs in [2usize, 4] {
-        let parallel =
-            now_bench::distribute_report_jobs(true, false, false, &Probe::disabled(), jobs);
-        assert_eq!(
-            serial.text, parallel.text,
-            "distribution report diverged at jobs={jobs}"
-        );
-    }
-    let again = now_bench::distribute_report_jobs(true, false, false, &Probe::disabled(), 4);
-    assert_eq!(
-        serial.text, again.text,
-        "distribution report diverged between repeated runs"
-    );
-}
-
-#[test]
-fn distribute_report_is_byte_identical_across_partitions() {
-    // A distribution run is one event-coupled component, so partition
-    // requests clamp to 1 — the report must not change for any value.
-    let probe = Probe::disabled();
-    let one = now_bench::distribute_report_scaled(true, false, false, false, &probe, 1, 32, 1, 0);
-    for partitions in [0u32, 4] {
-        let sharded = now_bench::distribute_report_scaled(
-            true, false, false, false, &probe, 1, 32, partitions, 0,
-        );
-        assert_eq!(
-            one.text, sharded.text,
-            "distribution report diverged at partitions={partitions}"
-        );
-    }
-}
+use now_bench::Report;
 
 #[test]
 fn distribute_blame_tables_are_deterministic() {
-    let a = now_bench::distribute_report_jobs(true, true, false, &Probe::disabled(), 1);
-    let b = now_bench::distribute_report_jobs(true, true, false, &Probe::disabled(), 4);
+    let blamed = |jobs| {
+        now_bench::distribute(&Report {
+            smoke: true,
+            blame: true,
+            jobs,
+            ..Report::default()
+        })
+    };
+    let a = blamed(1);
+    let b = blamed(4);
     assert_eq!(a.text, b.text, "blame appendix must not depend on jobs");
     assert!(
         a.text.contains("Blame - cold-start makespan, registry"),
@@ -72,7 +46,11 @@ fn distribute_summary_matches_the_report_and_crosses_over() {
         summary.dedup_factor > 1.0,
         "catalog must dedup: {summary:?}"
     );
-    let report = now_bench::distribute_report(true);
+    let report = now_bench::distribute(&Report {
+        smoke: true,
+        ..Report::default()
+    })
+    .text;
     assert!(
         report.contains(&format!(
             "Crossover: cooperative fetch wins from {} nodes",

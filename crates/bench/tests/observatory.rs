@@ -29,7 +29,7 @@ fn chrome_trace_parses_and_timestamps_are_monotone() {
     // A real span producer (the multigrid solver records one `mem` span
     // per run) plus hand-placed events at scattered sim times, so the
     // sorted export has distinct timestamps to order.
-    multigrid::run_probed(8, MemoryConfig::local32_disk(), &probe);
+    multigrid::run(8, MemoryConfig::local32_disk(), &probe);
     for i in [7u64, 3, 11, 1, 9] {
         let at = SimTime::from_nanos(i * 1_000);
         probe.instant("test", "tick", at, &[("i", i as f64)]);

@@ -1,55 +1,60 @@
-//! The parallel layer's contract, end to end: fanning a report's
-//! independent runs over worker threads must not change a single byte of
-//! output, and repeated runs at the same worker count must agree.
+//! The run plan's contract, end to end: a report's text depends only on
+//! what it reports, never on how its runs are scheduled. Fanning the
+//! independent runs over worker threads, sharding cells over engine
+//! partitions, or simply running again must not change a single byte.
 //!
-//! `now-sim::parallel::run_indexed` promises input-order results and the
-//! Monte-Carlo estimators promise per-trial seed splitting; these tests
-//! check the promise where it matters — the rendered tables the `repro`
-//! binary ships.
+//! `now-sim::parallel::run_indexed` promises input-order results, the
+//! Monte-Carlo estimators promise per-trial seed splitting, and the
+//! partitioned engine promises serial-identical histories; these tests
+//! check the promises where they matter — the rendered tables the
+//! `repro` binary ships.
 
-use now_probe::Probe;
+use now_bench::{ObservedReport, Report};
 
-#[test]
-fn contention_table_is_byte_identical_across_jobs() {
-    let serial = now_bench::contention_jobs(true, 1);
-    for jobs in [2usize, 8] {
-        assert_eq!(
-            serial,
-            now_bench::contention_jobs(true, jobs),
-            "contention table diverged at jobs={jobs}"
-        );
+/// A smoke report at the given schedule.
+fn smoke(jobs: usize, nodes: u32, partitions: u32) -> Report {
+    Report {
+        smoke: true,
+        jobs,
+        nodes,
+        partitions,
+        ..Report::default()
     }
-    assert_eq!(
-        now_bench::contention_jobs(true, 8),
-        now_bench::contention_jobs(true, 8),
-        "contention table diverged between repeated runs at jobs=8"
-    );
 }
 
 #[test]
-fn availability_report_is_byte_identical_across_jobs() {
-    let serial = now_bench::availability_jobs(true, 1);
-    for jobs in [2usize, 8] {
-        assert_eq!(
-            serial,
-            now_bench::availability_jobs(true, jobs),
-            "availability report diverged at jobs={jobs}"
-        );
+fn every_report_is_byte_identical_across_jobs_and_partitions() {
+    type Render = fn(&Report) -> ObservedReport;
+    let reports: [(&str, Render, u32); 5] = [
+        ("contention", now_bench::contention, 32),
+        ("contention", now_bench::contention, 64),
+        ("availability", now_bench::availability, 32),
+        ("serve", now_bench::serve, 32),
+        ("distribute", now_bench::distribute, 32),
+    ];
+    for (name, render, nodes) in reports {
+        let serial = render(&smoke(1, nodes, 1)).text;
+        // The serial schedule comes round again: repeated runs agree too.
+        for (jobs, partitions) in [(4, 1), (1, 4), (4, 4), (1, 1)] {
+            assert_eq!(
+                serial,
+                render(&smoke(jobs, nodes, partitions)).text,
+                "{name} at {nodes} nodes diverged at jobs={jobs}, partitions={partitions}"
+            );
+        }
     }
-    assert_eq!(
-        now_bench::availability_jobs(true, 8),
-        now_bench::availability_jobs(true, 8),
-        "availability report diverged between repeated runs at jobs=8"
-    );
 }
 
 #[test]
 fn blame_tables_are_byte_identical_across_jobs() {
     // Causal logs are per run, so blame parallelises; the full observed
     // report (table + blame appendix) must still match the serial one.
-    let probe = Probe::disabled();
-    let serial = now_bench::contention_observed_jobs(true, true, false, &probe, 1);
-    let parallel = now_bench::contention_observed_jobs(true, true, false, &probe, 8);
+    let blamed = |jobs| Report {
+        blame: true,
+        ..smoke(jobs, 32, 1)
+    };
+    let serial = now_bench::contention(&blamed(1));
+    let parallel = now_bench::contention(&blamed(8));
     assert_eq!(serial.text, parallel.text);
     assert!(
         serial.text.contains("Blame - job makespan"),
@@ -62,18 +67,25 @@ fn blame_tables_are_byte_identical_across_jobs() {
 fn batched_contention_is_byte_identical_across_jobs_and_partitions() {
     // Batching state is per cell-fabric, so neither the fan-out worker
     // count nor the partition count may leak into a batched report.
-    let serial = now_bench::contention_scaled_jobs(true, 1, 32, 1, 8);
+    let batched = |jobs, partitions| {
+        now_bench::contention(&Report {
+            am_batch_us: 8,
+            ..smoke(jobs, 32, partitions)
+        })
+        .text
+    };
+    let serial = batched(1, 1);
     for jobs in [2usize, 8] {
         assert_eq!(
             serial,
-            now_bench::contention_scaled_jobs(true, jobs, 32, 1, 8),
+            batched(jobs, 1),
             "batched contention diverged at jobs={jobs}"
         );
     }
     for partitions in [2u32, 4] {
         assert_eq!(
             serial,
-            now_bench::contention_scaled_jobs(true, 1, 32, partitions, 8),
+            batched(1, partitions),
             "batched contention diverged at partitions={partitions}"
         );
     }
@@ -81,15 +93,15 @@ fn batched_contention_is_byte_identical_across_jobs_and_partitions() {
 
 #[test]
 fn contention_series_matches_across_jobs() {
-    let serial = now_bench::contention_series_jobs(&[0, 4], 1);
-    let parallel = now_bench::contention_series_jobs(&[0, 4], 8);
+    let serial = now_bench::contention_series(&[0, 4], 1);
+    let parallel = now_bench::contention_series(&[0, 4], 8);
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn ablations_are_byte_identical_across_jobs() {
-    let serial = now_bench::ablations::all_jobs(1);
-    assert_eq!(serial, now_bench::ablations::all_jobs(8));
+    let serial = now_bench::ablations::all(1);
+    assert_eq!(serial, now_bench::ablations::all(8));
 }
 
 #[test]
@@ -99,8 +111,11 @@ fn enabled_probe_sees_identical_counts_whatever_jobs_asked() {
     use now_probe::Registry;
     let snap = |jobs: usize| {
         let registry = Registry::new();
-        let text =
-            now_bench::contention_observed_jobs(true, false, false, &registry.probe(), jobs).text;
+        let text = now_bench::contention(&Report {
+            probe: registry.probe(),
+            ..smoke(jobs, 32, 1)
+        })
+        .text;
         (text, registry.snapshot().counters)
     };
     assert_eq!(snap(1), snap(8));

@@ -1,12 +1,12 @@
 //! The streaming observation layer's contract on the serving workload:
-//! byte-identical reports whatever the worker count, and observation
-//! memory that stays flat while the event count grows a hundredfold —
-//! with sketch quantiles still inside the documented error bound of an
-//! exhaustive (test-only) measurement.
+//! byte-identical windowed series whatever the worker count, and
+//! observation memory that stays flat while the event count grows a
+//! hundredfold — with sketch quantiles still inside the documented error
+//! bound of an exhaustive (test-only) measurement.
 
 use std::sync::Arc;
 
-use now_bench::SEED;
+use now_bench::{Report, SEED};
 use now_cache::{AccessCosts, ServeConfig, ThinkTime};
 use now_core::{NowCluster, ScenarioObserver, ServeSpec};
 use now_probe::causal::CausalLog;
@@ -53,28 +53,18 @@ fn observer(expected_requests: u64) -> ScenarioObserver {
 }
 
 #[test]
-fn serve_report_is_byte_identical_across_jobs_and_runs() {
-    let probe = Probe::disabled();
-    let serial = now_bench::serve_report_jobs(true, false, false, &probe, 1);
-    for jobs in [2usize, 4] {
-        assert_eq!(
-            serial.text,
-            now_bench::serve_report_jobs(true, false, false, &probe, jobs).text,
-            "serve report diverged at jobs={jobs}"
-        );
-    }
-    assert_eq!(
-        now_bench::serve_report_jobs(true, false, false, &probe, 4).text,
-        now_bench::serve_report_jobs(true, false, false, &probe, 4).text,
-        "serve report diverged between repeated runs at jobs=4"
-    );
-}
-
-#[test]
 fn serve_windowed_series_match_across_jobs() {
-    let probe = Probe::disabled();
-    let serial = now_bench::serve_report_jobs(true, true, true, &probe, 1);
-    let parallel = now_bench::serve_report_jobs(true, true, true, &probe, 4);
+    let observed = |jobs| {
+        now_bench::serve(&Report {
+            smoke: true,
+            blame: true,
+            record: true,
+            jobs,
+            ..Report::default()
+        })
+    };
+    let serial = observed(1);
+    let parallel = observed(4);
     assert_eq!(serial.text, parallel.text);
     assert_eq!(serial.windowed, parallel.windowed);
     assert!(!serial.windowed.is_empty(), "recorder must produce series");
@@ -85,7 +75,7 @@ fn serve_windowed_series_match_across_jobs() {
     );
 }
 
-/// The PR's acceptance criterion: run the serving workload at a hundred
+/// The streaming layer's acceptance criterion: run the serving workload at a hundred
 /// times the smoke event count; observation memory must stay within 2x
 /// of the smoke run's, and the sketch's p99 must sit within its
 /// documented relative-error bound of the exhaustive (retain-every-

@@ -1,4 +1,5 @@
 use now_cache::{simulate, CacheConfig, Policy};
+use now_probe::Probe;
 use now_trace::fs::{FsTrace, FsTraceConfig};
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
         ("greedy", Policy::GreedyForwarding),
         ("n-chance(2)", Policy::NChance { n: 2 }),
     ] {
-        let r = simulate(&trace, &CacheConfig::table3(policy));
+        let r = simulate(&trace, &CacheConfig::table3(policy), &Probe::disabled());
         println!(
             "{name:>14}: miss {:.1}%  resp {:.2} ms  local {:.1}%  server {:.1}%  remote {:.1}%",
             r.disk_read_rate() * 100.0,

@@ -26,11 +26,13 @@
 //!
 //! ```
 //! use now_cache::{simulate, CacheConfig, Policy};
+//! use now_probe::Probe;
 //! use now_trace::fs::{FsTrace, FsTraceConfig};
 //!
 //! let trace = FsTrace::generate(&FsTraceConfig::small(), 1);
-//! let base = simulate(&trace, &CacheConfig::table3(Policy::ClientServer));
-//! let coop = simulate(&trace, &CacheConfig::table3(Policy::NChance { n: 2 }));
+//! let off = Probe::disabled();
+//! let base = simulate(&trace, &CacheConfig::table3(Policy::ClientServer), &off);
+//! let coop = simulate(&trace, &CacheConfig::table3(Policy::NChance { n: 2 }), &off);
 //! assert!(coop.disk_read_rate() <= base.disk_read_rate());
 //! ```
 
@@ -42,6 +44,6 @@ mod sim;
 
 pub use serve::{ServeComponent, ServeConfig, ServeEvent, ThinkTime};
 pub use sim::{
-    simulate, simulate_probed, sweep_client_cache, sweep_nchance, AccessCosts, CacheComponent,
-    CacheConfig, CacheEvent, Policy, SimResult,
+    simulate, sweep_client_cache, sweep_nchance, AccessCosts, CacheComponent, CacheConfig,
+    CacheEvent, Policy, SimResult,
 };

@@ -662,23 +662,15 @@ impl<M: EventCast<CacheEvent> + 'static> Component<M> for CacheComponent {
     }
 }
 
-/// Runs the trace through the cluster under `config`.
+/// Runs the trace through the cluster under `config`. Counters under
+/// `cache.*` on `probe` mirror the returned [`SimResult`] (reads, writes,
+/// the four read-service classes, and forwards), so a registry-wide
+/// snapshot can cross-check Table 3.
 ///
 /// # Panics
 ///
 /// Panics if the trace names a client beyond its own `clients` count.
-pub fn simulate(trace: &FsTrace, config: &CacheConfig) -> SimResult {
-    simulate_probed(trace, config, &Probe::disabled())
-}
-
-/// [`simulate`] with telemetry: counters under `cache.*` mirror the
-/// returned [`SimResult`] (reads, writes, the four read-service classes,
-/// and forwards), so a registry-wide snapshot can cross-check Table 3.
-///
-/// # Panics
-///
-/// Panics if the trace names a client beyond its own `clients` count.
-pub fn simulate_probed(trace: &FsTrace, config: &CacheConfig, probe: &Probe) -> SimResult {
+pub fn simulate(trace: &FsTrace, config: &CacheConfig, probe: &Probe) -> SimResult {
     let mut engine = Engine::new();
     let component = CacheComponent::new(trace.clone(), config.clone());
     let start = component.first_access_time();
@@ -710,7 +702,10 @@ pub fn sweep_client_cache(trace: &FsTrace, policy: Policy, client_mbs: &[u64]) -
         .map(|&mb| {
             let mut config = CacheConfig::table3(policy);
             config.client_blocks = (mb * 1024 * 1024 / 8_192) as usize;
-            (mb, simulate(trace, &config).disk_read_rate())
+            (
+                mb,
+                simulate(trace, &config, &Probe::disabled()).disk_read_rate(),
+            )
         })
         .collect()
 }
@@ -720,7 +715,10 @@ pub fn sweep_nchance(trace: &FsTrace, ns: &[u32]) -> Vec<(u32, f64)> {
     ns.iter()
         .map(|&n| {
             let config = CacheConfig::table3(Policy::NChance { n });
-            (n, simulate(trace, &config).disk_read_rate())
+            (
+                n,
+                simulate(trace, &config, &Probe::disabled()).disk_read_rate(),
+            )
         })
         .collect()
 }
@@ -742,7 +740,7 @@ mod tests {
             Policy::GreedyForwarding,
             Policy::NChance { n: 2 },
         ] {
-            let r = simulate(&t, &CacheConfig::small(policy));
+            let r = simulate(&t, &CacheConfig::small(policy), &Probe::disabled());
             assert_eq!(
                 r.local_hits + r.remote_client_hits + r.server_hits + r.disk_reads,
                 r.reads,
@@ -754,7 +752,11 @@ mod tests {
 
     #[test]
     fn baseline_never_uses_remote_clients() {
-        let r = simulate(&trace(), &CacheConfig::small(Policy::ClientServer));
+        let r = simulate(
+            &trace(),
+            &CacheConfig::small(Policy::ClientServer),
+            &Probe::disabled(),
+        );
         assert_eq!(r.remote_client_hits, 0);
         assert_eq!(r.forwards, 0);
     }
@@ -762,8 +764,16 @@ mod tests {
     #[test]
     fn forwarding_reduces_disk_reads() {
         let t = trace();
-        let base = simulate(&t, &CacheConfig::small(Policy::ClientServer));
-        let greedy = simulate(&t, &CacheConfig::small(Policy::GreedyForwarding));
+        let base = simulate(
+            &t,
+            &CacheConfig::small(Policy::ClientServer),
+            &Probe::disabled(),
+        );
+        let greedy = simulate(
+            &t,
+            &CacheConfig::small(Policy::GreedyForwarding),
+            &Probe::disabled(),
+        );
         assert!(
             greedy.disk_reads < base.disk_reads,
             "greedy {} vs base {}",
@@ -778,8 +788,16 @@ mod tests {
         // Recirculating singlets into idle clients' caches keeps more of
         // the aggregate memory useful.
         let t = trace();
-        let greedy = simulate(&t, &CacheConfig::small(Policy::GreedyForwarding));
-        let nchance = simulate(&t, &CacheConfig::small(Policy::NChance { n: 2 }));
+        let greedy = simulate(
+            &t,
+            &CacheConfig::small(Policy::GreedyForwarding),
+            &Probe::disabled(),
+        );
+        let nchance = simulate(
+            &t,
+            &CacheConfig::small(Policy::NChance { n: 2 }),
+            &Probe::disabled(),
+        );
         assert!(
             nchance.disk_read_rate() <= greedy.disk_read_rate(),
             "n-chance {} vs greedy {}",
@@ -791,16 +809,32 @@ mod tests {
     #[test]
     fn response_time_tracks_disk_rate() {
         let t = trace();
-        let base = simulate(&t, &CacheConfig::small(Policy::ClientServer));
-        let coop = simulate(&t, &CacheConfig::small(Policy::NChance { n: 2 }));
+        let base = simulate(
+            &t,
+            &CacheConfig::small(Policy::ClientServer),
+            &Probe::disabled(),
+        );
+        let coop = simulate(
+            &t,
+            &CacheConfig::small(Policy::NChance { n: 2 }),
+            &Probe::disabled(),
+        );
         assert!(coop.avg_read_response() < base.avg_read_response());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let t = trace();
-        let a = simulate(&t, &CacheConfig::small(Policy::NChance { n: 2 }));
-        let b = simulate(&t, &CacheConfig::small(Policy::NChance { n: 2 }));
+        let a = simulate(
+            &t,
+            &CacheConfig::small(Policy::NChance { n: 2 }),
+            &Probe::disabled(),
+        );
+        let b = simulate(
+            &t,
+            &CacheConfig::small(Policy::NChance { n: 2 }),
+            &Probe::disabled(),
+        );
         assert_eq!(a, b);
     }
 
@@ -839,7 +873,11 @@ mod tests {
             file_blocks: vec![1],
             clients: 2,
         };
-        let r = simulate(&t, &CacheConfig::small(Policy::NChance { n: 2 }));
+        let r = simulate(
+            &t,
+            &CacheConfig::small(Policy::NChance { n: 2 }),
+            &Probe::disabled(),
+        );
         assert_eq!(r.reads, 2);
         // First read: disk. Second read after invalidation: served from
         // client 1 (the writer) — a remote client hit, not a local hit.
@@ -853,12 +891,17 @@ mod tests {
         // The coordinated pool is the near-optimal upper bound the
         // practical algorithms chase.
         let t = trace();
-        let nchance = simulate(&t, &CacheConfig::small(Policy::NChance { n: 2 }));
+        let nchance = simulate(
+            &t,
+            &CacheConfig::small(Policy::NChance { n: 2 }),
+            &Probe::disabled(),
+        );
         let central = simulate(
             &t,
             &CacheConfig::small(Policy::Centralized {
                 local_fraction: 0.2,
             }),
+            &Probe::disabled(),
         );
         assert!(
             central.disk_read_rate() <= nchance.disk_read_rate() * 1.15,
@@ -898,6 +941,7 @@ mod tests {
             &CacheConfig::small(Policy::Centralized {
                 local_fraction: 0.2,
             }),
+            &Probe::disabled(),
         );
         // Reads: 0 -> disk; 1 -> pool/peer or disk; 2 -> writer's cache is
         // not reachable under Centralized (no directory), so pool miss ->
@@ -990,7 +1034,7 @@ mod tests {
         // The post-recovery read cannot hit the (cold) local cache.
         assert_eq!(r.server_hits, 1);
         // Fault-free baseline differs: 4 reads, 3 of them local hits.
-        let clean = simulate(&t, &cfg);
+        let clean = simulate(&t, &cfg, &Probe::disabled());
         assert_eq!(clean.reads, 4);
         assert_eq!(clean.local_hits, 3);
         assert_eq!(clean.skipped_accesses, 0);
@@ -1013,7 +1057,7 @@ mod tests {
             clients: 1,
         };
         let cfg = CacheConfig::small(Policy::ClientServer);
-        let clean = simulate(&t, &cfg);
+        let clean = simulate(&t, &cfg, &Probe::disabled());
         let degraded = run_with_faults(
             &t,
             &cfg,
@@ -1041,7 +1085,11 @@ mod tests {
             file_blocks: vec![],
             clients: 1,
         };
-        let r = simulate(&t, &CacheConfig::small(Policy::ClientServer));
+        let r = simulate(
+            &t,
+            &CacheConfig::small(Policy::ClientServer),
+            &Probe::disabled(),
+        );
         assert_eq!(r.disk_read_rate(), 0.0);
         assert_eq!(r.avg_read_response(), SimDuration::ZERO);
     }

@@ -2,6 +2,7 @@
 //! every trace.
 
 use now_cache::{simulate, CacheConfig, Policy};
+use now_probe::Probe;
 use now_sim::SimTime;
 use now_trace::fs::{AccessKind, BlockId, FileId, FsAccess, FsTrace};
 use proptest::prelude::*;
@@ -53,7 +54,7 @@ proptest! {
     ) {
         let trace = trace_from(&ops, 6);
         for policy in policies() {
-            let r = simulate(&trace, &CacheConfig::small(policy));
+            let r = simulate(&trace, &CacheConfig::small(policy), &Probe::disabled());
             prop_assert_eq!(r.reads + r.writes, trace.accesses.len() as u64, "{:?}", policy);
             prop_assert_eq!(
                 r.local_hits + r.remote_client_hits + r.server_hits + r.disk_reads,
@@ -76,7 +77,7 @@ proptest! {
         let distinct_blocks: std::collections::HashSet<_> =
             trace.accesses.iter().map(|a| a.block).collect();
         for policy in policies() {
-            let r = simulate(&trace, &CacheConfig::small(policy));
+            let r = simulate(&trace, &CacheConfig::small(policy), &Probe::disabled());
             prop_assert!(
                 r.disk_reads >= distinct_blocks.len() as u64,
                 "{:?}: {} disk reads for {} distinct blocks",
@@ -93,8 +94,8 @@ proptest! {
         ops in prop::collection::vec((0u32..6, 0u32..8, 0u32..16, any::<bool>()), 1..300)
     ) {
         let trace = trace_from(&ops, 6);
-        let base = simulate(&trace, &CacheConfig::small(Policy::ClientServer));
-        let greedy = simulate(&trace, &CacheConfig::small(Policy::GreedyForwarding));
+        let base = simulate(&trace, &CacheConfig::small(Policy::ClientServer), &Probe::disabled());
+        let greedy = simulate(&trace, &CacheConfig::small(Policy::GreedyForwarding), &Probe::disabled());
         prop_assert!(greedy.disk_reads <= base.disk_reads);
     }
 
@@ -105,8 +106,8 @@ proptest! {
     ) {
         let trace = trace_from(&ops, 6);
         for policy in policies() {
-            let a = simulate(&trace, &CacheConfig::small(policy));
-            let b = simulate(&trace, &CacheConfig::small(policy));
+            let a = simulate(&trace, &CacheConfig::small(policy), &Probe::disabled());
+            let b = simulate(&trace, &CacheConfig::small(policy), &Probe::disabled());
             prop_assert_eq!(a, b);
         }
     }
@@ -120,7 +121,7 @@ proptest! {
         let trace = trace_from(&ops, 6);
         for policy in policies() {
             let config = CacheConfig::small(policy);
-            let r = simulate(&trace, &config);
+            let r = simulate(&trace, &config, &Probe::disabled());
             let expect = config.costs.local_mem * r.local_hits
                 + config.costs.remote_mem * (r.remote_client_hits + r.server_hits)
                 + config.costs.disk * r.disk_reads;

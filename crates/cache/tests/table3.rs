@@ -7,6 +7,7 @@
 //! bands.
 
 use now_cache::{simulate, CacheConfig, Policy};
+use now_probe::Probe;
 use now_sim::SimDuration;
 use now_trace::fs::{FsTrace, FsTraceConfig};
 
@@ -23,9 +24,21 @@ fn twelve_hour_trace() -> &'static FsTrace {
 #[test]
 fn table3_shape_holds() {
     let trace = twelve_hour_trace();
-    let base = simulate(trace, &CacheConfig::table3(Policy::ClientServer));
-    let coop = simulate(trace, &CacheConfig::table3(Policy::GreedyForwarding));
-    let nchance = simulate(trace, &CacheConfig::table3(Policy::NChance { n: 2 }));
+    let base = simulate(
+        trace,
+        &CacheConfig::table3(Policy::ClientServer),
+        &Probe::disabled(),
+    );
+    let coop = simulate(
+        trace,
+        &CacheConfig::table3(Policy::GreedyForwarding),
+        &Probe::disabled(),
+    );
+    let nchance = simulate(
+        trace,
+        &CacheConfig::table3(Policy::NChance { n: 2 }),
+        &Probe::disabled(),
+    );
 
     // Baseline miss rate in the neighbourhood of the paper's 16 percent.
     let base_miss = base.disk_read_rate();
@@ -56,8 +69,16 @@ fn table3_shape_holds() {
 #[test]
 fn cooperative_caching_shifts_hits_from_disk_to_remote_memory() {
     let trace = twelve_hour_trace();
-    let base = simulate(trace, &CacheConfig::table3(Policy::ClientServer));
-    let coop = simulate(trace, &CacheConfig::table3(Policy::GreedyForwarding));
+    let base = simulate(
+        trace,
+        &CacheConfig::table3(Policy::ClientServer),
+        &Probe::disabled(),
+    );
+    let coop = simulate(
+        trace,
+        &CacheConfig::table3(Policy::GreedyForwarding),
+        &Probe::disabled(),
+    );
 
     // The same reads happen; the forwarding policy converts disk reads and
     // server-cache pressure into remote-client hits.
@@ -75,7 +96,11 @@ fn cooperative_caching_shifts_hits_from_disk_to_remote_memory() {
 #[test]
 fn idle_clients_absorb_singlets_under_nchance() {
     let trace = twelve_hour_trace();
-    let nchance = simulate(trace, &CacheConfig::table3(Policy::NChance { n: 2 }));
+    let nchance = simulate(
+        trace,
+        &CacheConfig::table3(Policy::NChance { n: 2 }),
+        &Probe::disabled(),
+    );
     assert!(
         nchance.forwards > 0,
         "n-chance must actually forward blocks between clients"

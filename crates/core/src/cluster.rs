@@ -8,6 +8,7 @@ use now_mem::multigrid::{self, MemoryConfig, RunResult};
 use now_mem::RemoteAccessCost;
 use now_models::gator::{CommFabric, GatorPrediction, GatorWorkload, Machine};
 use now_net::{presets, Network};
+use now_probe::Probe;
 use now_sim::SimDuration;
 use now_trace::lanl::JobTrace;
 use now_trace::usage::UsageTrace;
@@ -245,7 +246,7 @@ impl NowCluster {
             mb_per_host: self.mem_mb_per_node / 2,
             cost,
         };
-        Ok(multigrid::run(problem_mb, config))
+        Ok(multigrid::run(problem_mb, config, &Probe::disabled()))
     }
 
     /// The same job thrashing to the local disk, for comparison.
@@ -255,6 +256,7 @@ impl NowCluster {
             MemoryConfig::LocalWithDisk {
                 mb: self.mem_mb_per_node,
             },
+            &Probe::disabled(),
         )
     }
 
@@ -269,7 +271,7 @@ impl NowCluster {
         let mut config = CoschedConfig::paper_defaults(competing_jobs);
         config.nodes = self.nodes.min(16); // app models are sized for ≤16
         config.seed = self.seed;
-        cosched::run(app, scheduling, &config)
+        cosched::run(app, scheduling, &config, &Probe::disabled())
     }
 
     /// Overlays a parallel job trace on this cluster while its owners keep

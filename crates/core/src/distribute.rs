@@ -17,23 +17,15 @@
 //! `cas.peer` and `cas.disk`, the same telescoping accounting the other
 //! scenarios use.
 
-use std::sync::Arc;
-
 use now_am::BatchConfig;
 use now_cas::{
     CasEvent, CooperativeFetch, FetchConfig, FetchCore, FetchStrategy, ImageCatalog,
     ImageCatalogSpec, RegistryFetch,
 };
-use now_probe::causal::critical_path;
-use now_probe::recorder::{TimeSeries, WindowedSeries};
-use now_sim::parallel::run_indexed;
 use now_sim::{Engine, EventCast, SimTime};
 
 use crate::cluster::NowCluster;
-use crate::scenario::{
-    batched_fabric, gauges_with_batch, RecorderComponent, RecorderEvent, ScenarioObservations,
-    ScenarioObserver,
-};
+use crate::scenario::{RecorderEvent, ScenarioObservations, ScenarioObserver};
 
 /// Events of the distribution engine: the fetch strategy plus the
 /// flight recorder.
@@ -89,12 +81,12 @@ pub struct DistributeSpec {
     /// Flight-recorder sampling horizon (observed runs only; the
     /// workload itself ends when the last fetcher finishes).
     pub horizon: SimTime,
-    /// Accepted for CLI symmetry with the coupled scenario's
-    /// [`ScenarioSpec::partitions`](crate::ScenarioSpec::partitions) and
-    /// clamped to 1: the whole distribution lives in one event-coupled
-    /// component (every fetch contends for the same registry NICs and
-    /// tracker), so there is no event-closed cut to shard along and the
-    /// run is serial at any requested value.
+    /// Ignored: the run is serial at any value. Unlike the coupled
+    /// scenario's
+    /// [`ScenarioSpec::partitions`](crate::ScenarioSpec::partitions), the
+    /// whole distribution lives in one event-coupled component (every
+    /// fetch contends for the same registry NICs and tracker), so there
+    /// is no event-closed cut to shard along.
     pub partitions: u32,
     /// Active-message batching knobs for the distribution fabric (the
     /// default zero quantum is batching off, byte-identical to the
@@ -198,8 +190,6 @@ impl NowCluster {
         spec: &DistributeSpec,
         observer: &ScenarioObserver,
     ) -> (DistributeOutcome, ScenarioObservations) {
-        // A new run is a new utilization epoch (see the coupled scenario).
-        observer.probe.util_epoch();
         let probe = &observer.probe;
         let n = self.nodes();
         let needed = spec.fetchers + spec.registry_nics;
@@ -219,17 +209,8 @@ impl NowCluster {
         );
         config.seed = spec.seed;
 
-        let mut network = self.interconnect().network(n);
-        network.set_probe(probe.clone());
-        let mut engine: Engine<DistributeScenarioEvent> =
-            Engine::with_transport(batched_fabric(network, spec.am_batch, probe));
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
-
+        let mut engine: Engine<DistributeScenarioEvent> = self.fabric_engine(spec.am_batch, probe);
+        let mut watch = observer.attach(&mut engine);
         let cas_id = match spec.strategy {
             FetchStrategy::Registry => {
                 let mut fetch = RegistryFetch::new(catalog, config);
@@ -242,58 +223,23 @@ impl NowCluster {
                 engine.register(fetch)
             }
         };
-
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(RecorderComponent::with_gauges(
-                probe,
-                &gauges_with_batch(&DISTRIBUTE_RECORDED_GAUGES, spec.am_batch),
-                every,
-                spec.horizon,
-                observer.window_budget,
-            ))
-        });
-
         engine.schedule_at(
             cas_id,
             SimTime::ZERO,
             DistributeScenarioEvent::Cas(CasEvent::Start),
         );
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                DistributeScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        if observer.profile {
-            engine.enable_profiler(&DISTRIBUTE_COMPONENT_NAMES);
-        }
-        engine.run();
-        let profile = engine.take_profile();
-
-        let (timeseries, windowed, recorder_bytes) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (
-                    recorder.timeseries(),
-                    recorder.windowed(),
-                    recorder.approx_bytes(),
-                )
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default(), 0),
-        };
-        let blame = match &observer.causal {
-            Some(log) => critical_path(log, "distribute.complete", &DISTRIBUTE_COMPONENT_NAMES)
-                .map(|table| ("distribute", table))
-                .into_iter()
-                .collect(),
-            None => Vec::new(),
-        };
-        let (causal_records, causal_dropped, causal_bytes) = match &observer.causal {
-            Some(log) => (log.len(), log.dropped(), log.approx_bytes()),
-            None => (0, 0, 0),
-        };
+        watch.record(
+            &mut engine,
+            probe,
+            &DISTRIBUTE_RECORDED_GAUGES,
+            spec.am_batch,
+            spec.horizon,
+        );
+        let (observations, footprint) = watch.run(
+            &mut engine,
+            &DISTRIBUTE_COMPONENT_NAMES,
+            &[("distribute", "distribute.complete")],
+        );
 
         let core: &FetchCore = match spec.strategy {
             FetchStrategy::Registry => engine.component::<RegistryFetch>(cas_id).core(),
@@ -302,10 +248,9 @@ impl NowCluster {
         assert!(core.complete(), "every fetcher must finish its plan");
         let stats = core.stats();
         let store_stats = core.store().stats();
-        let observation_bytes = causal_bytes + recorder_bytes;
         probe
             .gauge("probe.observation_bytes")
-            .set(observation_bytes as f64);
+            .set(footprint.bytes as f64);
         let outcome = DistributeOutcome {
             fetchers: spec.fetchers,
             images: core.manifests().len(),
@@ -325,48 +270,23 @@ impl NowCluster {
             verify_failures: stats.verify_failures,
             content_digest: core.content_digest(),
             workload_bytes: core.approx_bytes(),
-            observation_bytes,
-            causal_records,
-            causal_dropped,
+            observation_bytes: footprint.bytes,
+            causal_records: footprint.causal_records,
+            causal_dropped: footprint.causal_dropped,
         };
-        (
-            outcome,
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile,
-            },
-        )
-    }
-
-    /// Runs each `(spec, observer)` pair as an independent observed
-    /// distribution run over up to `jobs` worker threads, in input order.
-    ///
-    /// As with [`NowCluster::run_scenarios_observed`], give each run its
-    /// own observer; callers sharing one enabled probe should keep
-    /// `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_distribute`](Self::run_distribute).
-    pub fn run_distributes_observed(
-        &self,
-        runs: &[(DistributeSpec, ScenarioObserver)],
-        jobs: usize,
-    ) -> Vec<(DistributeOutcome, ScenarioObservations)> {
-        run_indexed(jobs, runs, |_, (spec, observer)| {
-            self.run_distribute_observed(spec, observer)
-        })
+        (outcome, observations)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::cluster::Interconnect;
     use now_probe::causal::CausalLog;
     use now_probe::Registry;
+    use now_sim::parallel::run_indexed;
     use now_sim::SimDuration;
 
     fn cluster() -> NowCluster {
@@ -448,8 +368,14 @@ mod tests {
                 )
             })
             .collect();
-        let serial = cluster().run_distributes_observed(&runs, 1);
-        let fanned = cluster().run_distributes_observed(&runs, 4);
+        let cluster = cluster();
+        let run = |jobs| {
+            run_indexed(jobs, &runs, |_, (spec, observer)| {
+                cluster.run_distribute_observed(spec, observer)
+            })
+        };
+        let serial = run(1);
+        let fanned = run(4);
         for ((a, _), (b, _)) in serial.iter().zip(&fanned) {
             assert_eq!(a, b);
         }

@@ -44,6 +44,7 @@ mod cluster;
 mod control;
 mod distribute;
 mod gator_sim;
+mod run;
 mod scenario;
 mod serve;
 

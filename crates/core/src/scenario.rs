@@ -26,10 +26,9 @@ use now_fault::{Fault, FaultInjectorComponent, FaultPlan, InjectorEvent};
 use now_glunix::membership::MembershipConfig;
 use now_mem::multigrid::{MemoryConfig, MultigridConfig, RunResult, PAGE_BYTES};
 use now_mem::{MultigridComponent, PageEvent, RemoteAccessCost};
-use now_probe::causal::{category, critical_path, BlameTable, CausalLog};
+use now_probe::causal::{category, BlameTable, CausalLog};
 use now_probe::recorder::{TimeSeries, WindowedSeries};
 use now_probe::{Gauge, Probe};
-use now_sim::parallel::run_indexed;
 use now_sim::{
     Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast, HostProfile, Lookahead,
     PartitionedEngine, SimDuration, SimTime, TransferCost, Transport,
@@ -39,6 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cluster::NowCluster;
 use crate::control::{ClusterControl, ControlEvent, ControlWiring, FaultOutcome};
+use crate::run::Host;
 
 /// Spare workstations reserved as replacements for dead workers.
 const SPARE_NODES: usize = 2;
@@ -715,10 +715,10 @@ pub struct ScenarioObservations {
     pub profile: Option<HostProfile>,
 }
 
-/// Component names by registration order, for blame-table rendering.
-const SCENARIO_COMPONENT_NAMES: [&str; 7] = [
-    "job", "paging", "cache", "traffic", "control", "injector", "recorder",
-];
+/// One cell's component names by registration order, for blame tables
+/// and the host profile.
+const CELL_COMPONENT_NAMES: [&str; 6] =
+    ["job", "paging", "cache", "traffic", "control", "injector"];
 
 /// One partition's view of a multi-cell run: cell `c` owns global nodes
 /// `c*nodes_per_cell..(c+1)*nodes_per_cell` and a private fabric, and this
@@ -754,25 +754,6 @@ impl Transport for CellTransport {
     }
 }
 
-/// Boxes a run's cost-model transport: the priced fabric, wrapped in the
-/// batching aggregator when a nonzero flush quantum asks for it. With
-/// batching off the fabric is boxed bare, so disabled runs carry zero
-/// extra state and stay byte-identical to the pre-batching transport.
-pub(crate) fn batched_fabric(
-    network: now_net::Network,
-    batch: BatchConfig,
-    probe: &Probe,
-) -> Box<dyn Transport> {
-    let fabric = FabricTransport::new(network);
-    if batch.enabled() {
-        let mut wrapped = BatchingTransport::new(fabric, batch);
-        wrapped.set_probe(probe.clone());
-        Box::new(wrapped)
-    } else {
-        Box::new(fabric)
-    }
-}
-
 /// The recorder's gauge list for a run: the scenario's base columns,
 /// plus `net.batch_occupancy` only when batching is on — disabled runs
 /// must record exactly the pre-batching columns or their observation
@@ -797,86 +778,42 @@ const SCENARIO_MARKS: [(&str, &str); 4] = [
     ("rebuild", "rebuild.complete"),
 ];
 
-impl NowCluster {
-    /// Runs the coupled scenario: the BSP job, the out-of-core paging
-    /// process, the cooperative-cache replay, and the background flows
-    /// all contending for this cluster's interconnect through one engine.
-    ///
-    /// Component registration and event seeding follow a fixed order, so
-    /// a given `(cluster, spec)` pair always reproduces the same history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node allocation does not fit: the cluster needs
-    /// `job_workers + netram_hosts + 2` nodes or more.
-    pub fn run_scenario(&self, spec: &ScenarioSpec) -> ScenarioOutcome {
-        self.run_scenario_probed(spec, &Probe::disabled())
-    }
+/// One cell of the coupled scenario: its components' ids in
+/// registration order, plus the cache trace's first access.
+struct Cell {
+    job: ComponentId,
+    solver: ComponentId,
+    cache: ComponentId,
+    traffic: ComponentId,
+    control: ComponentId,
+    injector: ComponentId,
+    first_access: Option<SimTime>,
+}
 
-    /// [`run_scenario`](Self::run_scenario) with a telemetry probe wired
-    /// through the fabric and every subsystem: the fault machinery counts
-    /// `fault.*`, the network gauges `net.queue_wait_us`, and the
-    /// components publish the gauges the flight recorder samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenario_probed(&self, spec: &ScenarioSpec, probe: &Probe) -> ScenarioOutcome {
-        self.run_scenario_observed(
-            spec,
-            &ScenarioObserver {
-                probe: probe.clone(),
-                ..ScenarioObserver::disabled()
-            },
-        )
-        .0
-    }
-
-    /// [`run_scenario_probed`](Self::run_scenario_probed) plus causal
-    /// tracing and the flight recorder, per `observer`. The simulated
-    /// history is identical whatever the observer watches: probes, the
-    /// causal sink, and the recorder never feed back into event timing
-    /// (the recorder rides its own event chain, which touches no shared
-    /// state).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenario_observed(
-        &self,
+impl Cell {
+    /// Registers cell `c` of a `cells`-cell run on `host`, homed in
+    /// `partition`, with every component publishing to `probe`: the BSP
+    /// job, the paging process, the cooperative cache, the background
+    /// traffic, the cluster control and the fault injector, in that
+    /// order. The cell occupies global nodes `c*n..(c+1)*n` of an
+    /// `n`-node cluster and draws its traces from seed `spec.seed + c`.
+    fn build<H: Host<ScenarioEvent>>(
+        host: &mut H,
+        partition: u32,
         spec: &ScenarioSpec,
-        observer: &ScenarioObserver,
-    ) -> (ScenarioOutcome, ScenarioObservations) {
-        // A new run is a new utilization epoch: resource ledgers shared
-        // across a sweep close the previous run's wall and start idle.
-        observer.probe.util_epoch();
-        if spec.cells > 1 {
-            return self.run_scenario_cells(spec, observer);
-        }
-        let probe = &observer.probe;
-        let n = self.nodes();
+        n: u32,
+        c: u32,
+        cells: u32,
+        probe: &Probe,
+    ) -> Cell {
         let k = spec.job_workers;
         let h = spec.netram_hosts;
-        assert!(
-            k + h + 2 <= n,
-            "scenario needs {k} workers + {h} netram hosts + pager + server; \
-             only {n} nodes"
-        );
-        let worker_nodes: Vec<u32> = (0..k).collect();
-        let pager_node = k;
-        let host_nodes: Vec<u32> = (k + 1..=k + h).collect();
-        let server_node = n - 1;
-
-        let mut network = self.interconnect().network(n);
-        network.set_probe(probe.clone());
-        let mut engine: Engine<ScenarioEvent> =
-            Engine::with_transport(batched_fabric(network, spec.am_batch, probe));
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
+        let off = c * n;
+        let seed = spec.seed.wrapping_add(u64::from(c));
+        let worker_nodes: Vec<u32> = (off..off + k).collect();
+        let pager_node = off + k;
+        let host_nodes: Vec<u32> = (off + k + 1..=off + k + h).collect();
+        let server_node = off + n - 1;
 
         // The BSP job.
         let mut job = BspJobComponent::new(
@@ -886,7 +823,7 @@ impl NowCluster {
             spec.job_message_bytes,
         );
         job.set_probe(probe);
-        let job_id = engine.register(job);
+        let job_id = host.add(partition, job);
 
         // The out-of-core paging process. The fixed-cost constants in the
         // memory config are placeholders: under the fabric cost model every
@@ -915,26 +852,22 @@ impl NowCluster {
         )
         .with_placement(pager_node, host_nodes.clone());
         solver.set_probe(probe);
-        let solver_id = engine.register(solver);
+        let solver_id = host.add(partition, solver);
 
         // The cooperative file cache, its clients sharing the workers'
-        // nodes and its server on the last node.
+        // nodes and its server on the cell's last node.
         let mut trace_config = FsTraceConfig::small();
         trace_config.clients = k;
         trace_config.duration = spec.horizon;
         trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
-        let trace = FsTrace::generate(&trace_config, spec.seed);
-        let first_access = {
-            let mut config = CacheConfig::small(Policy::NChance { n: 2 });
-            config.seed = spec.seed;
-            let client_nodes: Vec<u32> = (0..k).collect();
-            let mut component =
-                CacheComponent::new(trace, config).with_placement(client_nodes, server_node);
-            component.set_probe(probe);
-            let first = component.first_access_time();
-            (engine.register(component), first)
-        };
-        let (cache_id, first_access) = first_access;
+        let trace = FsTrace::generate(&trace_config, seed);
+        let mut config = CacheConfig::small(Policy::NChance { n: 2 });
+        config.seed = seed;
+        let mut cache =
+            CacheComponent::new(trace, config).with_placement(worker_nodes.clone(), server_node);
+        cache.set_probe(probe);
+        let first_access = cache.first_access_time();
+        let cache_id = host.add(partition, cache);
 
         // Background traffic: flow `i` rides from netram host `i % h` into
         // worker `i % k` — the same links paging and the job depend on.
@@ -948,12 +881,12 @@ impl NowCluster {
             SimTime::ZERO + spec.horizon,
         );
         traffic.set_probe(probe);
-        let traffic_id = engine.register(traffic);
+        let traffic_id = host.add(partition, traffic);
 
         // Fault machinery. Nodes past the netram hosts (and before the
         // server) are idle: the first few are held as spares for dead
         // workers, the rest carry the storage array's disks.
-        let idle: Vec<u32> = (k + h + 1..n.saturating_sub(1)).collect();
+        let idle: Vec<u32> = (off + k + h + 1..off + n - 1).collect();
         let spare_count = SPARE_NODES.min(idle.len());
         // Reverse so `pop` dispatches the lowest-numbered spare first.
         let spares: Vec<u32> = idle[..spare_count].iter().rev().copied().collect();
@@ -971,7 +904,7 @@ impl NowCluster {
             + spec.fault_restart_delay
             + spec.fault_heartbeat * 2;
         let mut control = ClusterControl::new(
-            n,
+            cells * n,
             membership,
             spec.fault_restart_delay,
             spec.raid_rebuild_mb * 1024 * 1024,
@@ -979,8 +912,8 @@ impl NowCluster {
                 job_id,
                 solver_id,
                 cache_id,
-                workers: worker_nodes.clone(),
-                host_base: k + 1,
+                workers: worker_nodes,
+                host_base: off + k + 1,
                 hosts: h,
                 spares,
                 storage,
@@ -988,158 +921,134 @@ impl NowCluster {
             tick_until,
         );
         control.set_probe(probe.clone());
-        let control_id = engine.register(control);
+        let control_id = host.add(partition, control);
         let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
         injector.set_probe(probe.clone());
-        let injector_id = engine.register(injector);
+        let injector_id = host.add(partition, injector);
 
-        // The flight recorder registers last (component ids above are
-        // stable whether or not it exists) and only when asked for.
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(RecorderComponent::with_gauges(
-                probe,
-                &gauges_with_batch(&RECORDED_GAUGES, spec.am_batch),
-                every,
-                SimTime::ZERO + spec.horizon,
-                observer.window_budget,
-            ))
-        });
+        Cell {
+            job: job_id,
+            solver: solver_id,
+            cache: cache_id,
+            traffic: traffic_id,
+            control: control_id,
+            injector: injector_id,
+            first_access,
+        }
+    }
 
-        // Seed in fixed order: job, solver, cache, traffic.
-        engine.schedule_at(job_id, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
-        engine.schedule_at(
-            solver_id,
+    /// Seeds the cell in a fixed order: job, solver, cache, traffic,
+    /// then injector and control. With no faults scheduled the injector
+    /// and control receive zero events, so the run's history is
+    /// byte-identical to a build without the fault machinery.
+    fn seed<H: Host<ScenarioEvent>>(&self, host: &mut H, spec: &ScenarioSpec) {
+        host.seed(self.job, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
+        host.seed(
+            self.solver,
             SimTime::ZERO,
             ScenarioEvent::Page(PageEvent::Step),
         );
-        if let Some(t) = first_access {
-            engine.schedule_at(cache_id, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
+        if let Some(t) = self.first_access {
+            host.seed(self.cache, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
         }
         if spec.background_flows > 0 {
-            engine.schedule_at(
-                traffic_id,
+            host.seed(
+                self.traffic,
                 SimTime::ZERO,
                 ScenarioEvent::Traffic(TrafficEvent::Tick),
             );
         }
-        // With no faults scheduled, the injector and control receive zero
-        // events: the run's history is byte-identical to a fault-free
-        // build of the engine.
         if let Some(first_fault) = spec.faults.first_time() {
-            engine.schedule_at(
-                injector_id,
+            host.seed(
+                self.injector,
                 first_fault,
                 ScenarioEvent::Inject(InjectorEvent::Fire),
             );
-            engine.schedule_at(
-                control_id,
+            host.seed(
+                self.control,
                 SimTime::ZERO + spec.fault_heartbeat,
                 ScenarioEvent::Control(ControlEvent::Tick),
             );
         }
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                ScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
+    }
 
-        if observer.profile {
-            engine.enable_profiler(&SCENARIO_COMPONENT_NAMES);
-        }
-        engine.run();
-        let profile = engine.take_profile();
-
-        let (timeseries, windowed) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (recorder.timeseries(), recorder.windowed())
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default()),
-        };
-        let blame = match &observer.causal {
-            Some(log) => SCENARIO_MARKS
-                .iter()
-                .filter_map(|&(tag, label)| {
-                    critical_path(log, label, &SCENARIO_COMPONENT_NAMES).map(|table| (tag, table))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-
-        let job = engine.component::<BspJobComponent>(job_id);
-        let solver = engine.component::<MultigridComponent>(solver_id);
-        let traffic = engine.component::<TrafficComponent>(traffic_id);
-        let control = engine.component::<ClusterControl>(control_id);
-        let injector = engine.component::<FaultInjectorComponent>(injector_id);
-        let outcome = ScenarioOutcome {
+    /// The cell's outcome once `host` has run.
+    fn outcome<H: Host<ScenarioEvent>>(&self, host: &H) -> ScenarioOutcome {
+        let job = host.get::<BspJobComponent>(self.job);
+        let solver = host.get::<MultigridComponent>(self.solver);
+        let traffic = host.get::<TrafficComponent>(self.traffic);
+        let control = host.get::<ClusterControl>(self.control);
+        ScenarioOutcome {
             job_makespan: job.makespan().expect(
                 "the BSP job runs to completion (a crashed worker needs a \
                  spare or a scripted reboot)",
             ),
             mean_netram_fetch_us: solver.mean_netram_fetch_us(),
             paging: solver.result(),
-            cache: engine.component::<CacheComponent>(cache_id).result(),
+            cache: host.get::<CacheComponent>(self.cache).result(),
             background_frames: traffic.frames(),
             mean_background_latency_us: traffic.mean_latency_us(),
             faults: FaultOutcome {
-                injected: injector.injected(),
+                injected: host.get::<FaultInjectorComponent>(self.injector).injected(),
                 detected: control.detected(),
                 mean_detection_ms: control.mean_detection_ms(),
                 restarts: control.restarts(),
                 rebuilt_bytes: control.rebuilt_bytes(),
                 job_stall: job.fault_stall(),
             },
-        };
-        (
-            outcome,
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile,
-            },
-        )
+        }
     }
+}
 
-    /// The multi-cell path of
-    /// [`run_scenario_observed`](Self::run_scenario_observed): `cells`
-    /// replicas of the coupled scenario, each on its own copy of the
-    /// fabric (global nodes `c*n..(c+1)*n`, seed `seed + c`, telemetry
-    /// under a `cell{c}.` prefix), sharded over `partitions` engine
-    /// partitions on scoped threads.
+impl NowCluster {
+    /// Runs the coupled scenario: the BSP job, the out-of-core paging
+    /// process, the cooperative-cache replay, and the background flows
+    /// all contending for this cluster's interconnect through one engine.
     ///
-    /// Cells share nothing — no wires, no caches, no pages — so the
-    /// component map is event-closed and [`PartitionedEngine`] runs it
-    /// under [`Lookahead::Closed`]: every partition drains to completion
-    /// in a single unbounded window, with zero barrier crossings. The
-    /// history, outcome, and observations are byte-identical at every
-    /// partition count; only wall-clock time changes.
-    ///
-    /// Mirrors the serial body above: same components, same registration
-    /// order (cell-major), same seeding order, so a one-cell spec run
-    /// through either path produces the same per-cell history.
+    /// Component registration and event seeding follow a fixed order, so
+    /// a given `(cluster, spec)` pair always reproduces the same history.
     ///
     /// # Panics
     ///
-    /// Panics like [`run_scenario`](Self::run_scenario), and on a
-    /// non-empty fault plan: control-plane messages are delivered with
-    /// zero latency, which no conservative lookahead covers, so faulted
-    /// runs must stay at `cells = 1`.
-    fn run_scenario_cells(
+    /// Panics like [`run_scenario_observed`](Self::run_scenario_observed).
+    pub fn run_scenario(&self, spec: &ScenarioSpec) -> ScenarioOutcome {
+        self.run_scenario_observed(spec, &ScenarioObserver::disabled())
+            .0
+    }
+
+    /// [`run_scenario`](Self::run_scenario) watched by `observer`: its
+    /// probe is wired through the fabric and every subsystem (the fault
+    /// machinery counts `fault.*`, the network gauges `net.queue_wait_us`,
+    /// and the components publish the gauges the flight recorder samples),
+    /// plus causal tracing, the flight recorder and the host profiler when
+    /// asked for. The simulated history is identical whatever the
+    /// observer watches: probes, the causal sink, and the recorder never
+    /// feed back into event timing (the recorder rides its own event
+    /// chain, which touches no shared state).
+    ///
+    /// With `spec.cells > 1` the run replicates the scenario as
+    /// independent cells, each on its own copy of the fabric (global
+    /// nodes `c*n..(c+1)*n`, seed `seed + c`, telemetry under a `cell{c}.`
+    /// prefix), sharded over `spec.partitions` engine partitions on scoped
+    /// threads. Cells share nothing — no wires, no caches, no pages — so
+    /// the component map is event-closed and [`PartitionedEngine`] runs it
+    /// under [`Lookahead::Closed`]: every partition drains to completion
+    /// in a single unbounded window. The history, outcome, and
+    /// observations are byte-identical at every partition count; only
+    /// wall-clock time changes. Multi-cell runs skip the profiler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node allocation does not fit (the cluster needs
+    /// `job_workers + netram_hosts + 2` nodes or more), and on a
+    /// multi-cell spec with a non-empty fault plan: control-plane messages
+    /// are delivered with zero latency, which no conservative lookahead
+    /// covers, so faulted runs must stay at `cells = 1`.
+    pub fn run_scenario_observed(
         &self,
         spec: &ScenarioSpec,
         observer: &ScenarioObserver,
     ) -> (ScenarioOutcome, ScenarioObservations) {
-        let probe = &observer.probe;
-        let cells = spec.cells;
-        assert!(
-            spec.faults.is_empty(),
-            "faulted runs cannot shard across cells: fault control messages \
-             have zero latency, which no conservative lookahead covers (run \
-             with cells = 1)"
-        );
         let n = self.nodes();
         let k = spec.job_workers;
         let h = spec.netram_hosts;
@@ -1148,24 +1057,65 @@ impl NowCluster {
             "scenario needs {k} workers + {h} netram hosts + pager + server; \
              only {n} nodes"
         );
-        let home = self.plan_partitions(cells, spec.partitions);
-        let partitions = home.iter().copied().max().unwrap_or(0) as usize + 1;
+        if spec.cells > 1 {
+            assert!(
+                spec.faults.is_empty(),
+                "faulted runs cannot shard across cells: fault control messages \
+                 have zero latency, which no conservative lookahead covers (run \
+                 with cells = 1)"
+            );
+            let home = self.plan_partitions(spec.cells, spec.partitions);
+            let mut engine = self.cell_engine(&home, spec.am_batch, &observer.probe);
+            self.run_cells(&mut engine, &home, spec, observer)
+        } else {
+            let mut engine = self.fabric_engine(spec.am_batch, &observer.probe);
+            self.run_cells(&mut engine, &[0], spec, observer)
+        }
+    }
 
-        // One private fabric per cell; each partition's cost model
-        // multiplexes the fabrics of the cells homed there.
+    /// A serial engine priced on a fresh copy of this cluster's fabric,
+    /// with `probe` wired into the network. The fabric is wrapped in the
+    /// batching aggregator only when a nonzero flush quantum asks for it:
+    /// disabled runs carry zero extra state and stay byte-identical to the
+    /// pre-batching transport.
+    pub(crate) fn fabric_engine<M: 'static>(&self, batch: BatchConfig, probe: &Probe) -> Engine<M> {
+        let mut network = self.interconnect().network(self.nodes());
+        network.set_probe(probe.clone());
+        let fabric = FabricTransport::new(network);
+        if batch.enabled() {
+            let mut wrapped = BatchingTransport::new(fabric, batch);
+            wrapped.set_probe(probe.clone());
+            Engine::with_transport(Box::new(wrapped))
+        } else {
+            Engine::with_transport(Box::new(fabric))
+        }
+    }
+
+    /// The engine of a multi-cell run: one private fabric per cell (its
+    /// telemetry under `cell{c}.`), cell `c` homed in partition `home[c]`,
+    /// and each partition's cost model multiplexing the fabrics of the
+    /// cells homed there.
+    fn cell_engine(
+        &self,
+        home: &[u32],
+        batch: BatchConfig,
+        probe: &Probe,
+    ) -> PartitionedEngine<ScenarioEvent> {
+        let n = self.nodes();
+        let partitions = home.iter().copied().max().unwrap_or(0) as usize + 1;
         let mut fabrics: Vec<BTreeMap<u32, BatchingTransport<FabricTransport>>> =
             (0..partitions).map(|_| BTreeMap::new()).collect();
-        for c in 0..cells {
+        for (c, &p) in (0..).zip(home) {
             let mut network = self.interconnect().network(n);
             let scoped = probe.scoped(&format!("cell{c}."));
             network.set_probe(scoped.clone());
             // The wrapper with a zero quantum is a pure pass-through, so
             // unbatched multi-cell runs stay byte-identical.
-            let mut fabric = BatchingTransport::new(FabricTransport::new(network), spec.am_batch);
+            let mut fabric = BatchingTransport::new(FabricTransport::new(network), batch);
             fabric.set_probe(scoped);
-            fabrics[home[c as usize] as usize].insert(c, fabric);
+            fabrics[p as usize].insert(c, fabric);
         }
-        let cost_models: Vec<CostModel> = fabrics
+        let cost_models = fabrics
             .into_iter()
             .map(|cells| {
                 CostModel::Fabric(Box::new(CellTransport {
@@ -1174,280 +1124,49 @@ impl NowCluster {
                 }))
             })
             .collect();
-        let mut engine: PartitionedEngine<ScenarioEvent> =
-            PartitionedEngine::new(cost_models, Lookahead::Closed);
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
-
-        struct CellIds {
-            job: ComponentId,
-            solver: ComponentId,
-            cache: ComponentId,
-            traffic: ComponentId,
-            first_access: Option<SimTime>,
-        }
-        let mut cell_ids: Vec<CellIds> = Vec::with_capacity(cells as usize);
-        for c in 0..cells {
-            let p = home[c as usize];
-            let off = c * n;
-            let seed = spec.seed.wrapping_add(u64::from(c));
-            let scoped = probe.scoped(&format!("cell{c}."));
-            let worker_nodes: Vec<u32> = (off..off + k).collect();
-            let pager_node = off + k;
-            let host_nodes: Vec<u32> = (off + k + 1..=off + k + h).collect();
-            let server_node = off + n - 1;
-
-            let mut job = BspJobComponent::new(
-                worker_nodes.clone(),
-                spec.job_rounds,
-                spec.job_compute,
-                spec.job_message_bytes,
-            );
-            job.set_probe(&scoped);
-            let job_id = engine.register(p, job);
-
-            let memory = MemoryConfig::LocalWithNetRam {
-                mb: spec.paging_local_mb,
-                hosts: h,
-                mb_per_host: spec.netram_mb_per_host,
-                cost: RemoteAccessCost::table2_atm(),
-            };
-            let app = MultigridConfig {
-                sweeps: spec.paging_sweeps,
-                ..MultigridConfig::paper_defaults()
-            };
-            let pages = spec.paging_problem_mb * 1024 * 1024 / PAGE_BYTES;
-            let mut built_pager = memory.build_pager();
-            built_pager.set_probe(scoped.clone());
-            if spec.netram_mirrored {
-                built_pager.set_netram_mirrored(true);
-            }
-            let mut solver = MultigridComponent::new(
-                built_pager,
-                app.compute_per_page(),
-                pages,
-                u64::from(app.sweeps) * pages,
-            )
-            .with_placement(pager_node, host_nodes.clone());
-            solver.set_probe(&scoped);
-            let solver_id = engine.register(p, solver);
-
-            let mut trace_config = FsTraceConfig::small();
-            trace_config.clients = k;
-            trace_config.duration = spec.horizon;
-            trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
-            let trace = FsTrace::generate(&trace_config, seed);
-            let mut config = CacheConfig::small(Policy::NChance { n: 2 });
-            config.seed = seed;
-            let mut cache = CacheComponent::new(trace, config)
-                .with_placement(worker_nodes.clone(), server_node);
-            cache.set_probe(&scoped);
-            let first_access = cache.first_access_time();
-            let cache_id = engine.register(p, cache);
-
-            let flows: Vec<(u32, u32)> = (0..spec.background_flows)
-                .map(|i| (host_nodes[(i % h) as usize], worker_nodes[(i % k) as usize]))
-                .collect();
-            let mut traffic = TrafficComponent::new(
-                flows,
-                spec.background_bytes,
-                spec.background_interval,
-                SimTime::ZERO + spec.horizon,
-            );
-            traffic.set_probe(&scoped);
-            let traffic_id = engine.register(p, traffic);
-
-            // Control and injector register for id-table parity with the
-            // serial path; the fault plan is empty, so they receive no
-            // events and the history is identical to a build without them.
-            let idle: Vec<u32> = (off + k + h + 1..off + n - 1).collect();
-            let spare_count = SPARE_NODES.min(idle.len());
-            let spares: Vec<u32> = idle[..spare_count].iter().rev().copied().collect();
-            let mut storage: Vec<u32> = idle[spare_count..].to_vec();
-            if storage.is_empty() {
-                storage.push(server_node);
-            }
-            let membership = MembershipConfig {
-                heartbeat: spec.fault_heartbeat,
-                ..MembershipConfig::default()
-            };
-            let detection_window = spec.fault_heartbeat * u64::from(membership.miss_limit + 1);
-            let tick_until = SimTime::ZERO
-                + detection_window
-                + spec.fault_restart_delay
-                + spec.fault_heartbeat * 2;
-            let mut control = ClusterControl::new(
-                cells * n,
-                membership,
-                spec.fault_restart_delay,
-                spec.raid_rebuild_mb * 1024 * 1024,
-                ControlWiring {
-                    job_id,
-                    solver_id,
-                    cache_id,
-                    workers: worker_nodes.clone(),
-                    host_base: off + k + 1,
-                    hosts: h,
-                    spares,
-                    storage,
-                },
-                tick_until,
-            );
-            control.set_probe(scoped.clone());
-            let control_id = engine.register(p, control);
-            let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
-            injector.set_probe(scoped.clone());
-            engine.register(p, injector);
-
-            cell_ids.push(CellIds {
-                job: job_id,
-                solver: solver_id,
-                cache: cache_id,
-                traffic: traffic_id,
-                first_access,
-            });
-        }
-
-        // The flight recorder registers last, homed in partition 0 with
-        // cell 0, whose gauges it samples: recorder and cell 0 share an
-        // event queue, so their relative order — and the recorded series —
-        // is the same at every partition count.
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(
-                0,
-                RecorderComponent::with_gauges(
-                    &probe.scoped("cell0."),
-                    &gauges_with_batch(&RECORDED_GAUGES, spec.am_batch),
-                    every,
-                    SimTime::ZERO + spec.horizon,
-                    observer.window_budget,
-                ),
-            )
-        });
-
-        // Seed cell-major in the serial path's order: job, solver, cache,
-        // traffic.
-        for ids in &cell_ids {
-            engine.schedule_at(ids.job, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
-            engine.schedule_at(
-                ids.solver,
-                SimTime::ZERO,
-                ScenarioEvent::Page(PageEvent::Step),
-            );
-            if let Some(t) = ids.first_access {
-                engine.schedule_at(ids.cache, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
-            }
-            if spec.background_flows > 0 {
-                engine.schedule_at(
-                    ids.traffic,
-                    SimTime::ZERO,
-                    ScenarioEvent::Traffic(TrafficEvent::Tick),
-                );
-            }
-        }
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                ScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        engine.run();
-
-        let (timeseries, windowed) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (recorder.timeseries(), recorder.windowed())
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default()),
-        };
-        let blame = match &observer.causal {
-            Some(log) => {
-                let mut names: Vec<&str> = Vec::with_capacity(cells as usize * 6 + 1);
-                for _ in 0..cells {
-                    names.extend_from_slice(&SCENARIO_COMPONENT_NAMES[..6]);
-                }
-                names.push("recorder");
-                SCENARIO_MARKS
-                    .iter()
-                    .filter_map(|&(tag, label)| {
-                        critical_path(log, label, &names).map(|table| (tag, table))
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-
-        let per_cell: Vec<ScenarioOutcome> = cell_ids
-            .iter()
-            .map(|ids| {
-                let job = engine.component::<BspJobComponent>(ids.job);
-                let solver = engine.component::<MultigridComponent>(ids.solver);
-                let traffic = engine.component::<TrafficComponent>(ids.traffic);
-                ScenarioOutcome {
-                    job_makespan: job.makespan().expect(
-                        "the BSP job runs to completion (no faults can stall \
-                         a multi-cell run)",
-                    ),
-                    mean_netram_fetch_us: solver.mean_netram_fetch_us(),
-                    paging: solver.result(),
-                    cache: engine.component::<CacheComponent>(ids.cache).result(),
-                    background_frames: traffic.frames(),
-                    mean_background_latency_us: traffic.mean_latency_us(),
-                    faults: FaultOutcome::default(),
-                }
-            })
-            .collect();
-        (
-            aggregate_cells(&per_cell),
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile: None,
-            },
-        )
+        PartitionedEngine::new(cost_models, Lookahead::Closed)
     }
 
-    /// Runs each spec as an independent scenario, fanned out over up to
-    /// `jobs` worker threads, returning outcomes in spec order.
-    ///
-    /// Every run builds its own engine, fabric, and traces from its spec,
-    /// so runs share nothing mutable and the outcome list is identical to
-    /// `specs.iter().map(|s| self.run_scenario(s))` for any `jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenarios(&self, specs: &[ScenarioSpec], jobs: usize) -> Vec<ScenarioOutcome> {
-        run_indexed(jobs, specs, |_, spec| self.run_scenario(spec))
-    }
-
-    /// Runs each `(spec, observer)` pair as an independent observed
-    /// scenario over up to `jobs` worker threads, in input order.
-    ///
-    /// Give each run its *own* observer (its own causal log, its own
-    /// registry): a shared enabled probe sees runs interleave gauge writes
-    /// in wall-clock order, which is exactly the nondeterminism serial
-    /// execution avoids — callers that share one enabled probe across runs
-    /// should keep `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenarios_observed(
+    /// The coupled scenario on `host`, one cell per entry of `home` (the
+    /// partition the cell is homed in). Cells register and seed
+    /// cell-major; the flight recorder comes last, homed in partition 0
+    /// with cell 0, whose gauges it samples, so recorder and cell 0 share
+    /// an event queue and the recorded series is the same at every
+    /// partition count. A single cell publishes unprefixed telemetry;
+    /// cell `c` of many publishes under `cell{c}.`.
+    fn run_cells<H: Host<ScenarioEvent>>(
         &self,
-        runs: &[(ScenarioSpec, ScenarioObserver)],
-        jobs: usize,
-    ) -> Vec<(ScenarioOutcome, ScenarioObservations)> {
-        run_indexed(jobs, runs, |_, (spec, observer)| {
-            self.run_scenario_observed(spec, observer)
-        })
+        host: &mut H,
+        home: &[u32],
+        spec: &ScenarioSpec,
+        observer: &ScenarioObserver,
+    ) -> (ScenarioOutcome, ScenarioObservations) {
+        let n = self.nodes();
+        let cells = home.len() as u32;
+        let probe_of = |c: u32| match cells {
+            1 => observer.probe.clone(),
+            _ => observer.probe.scoped(&format!("cell{c}.")),
+        };
+        let mut watch = observer.attach(host);
+        let built: Vec<Cell> = (0..cells)
+            .zip(home)
+            .map(|(c, &p)| Cell::build(host, p, spec, n, c, cells, &probe_of(c)))
+            .collect();
+        for cell in &built {
+            cell.seed(host, spec);
+        }
+        watch.record(
+            host,
+            &probe_of(0),
+            &RECORDED_GAUGES,
+            spec.am_batch,
+            SimTime::ZERO + spec.horizon,
+        );
+        let mut names = CELL_COMPONENT_NAMES.repeat(cells as usize);
+        names.push("recorder");
+        let (observations, _) = watch.run(host, &names, &SCENARIO_MARKS);
+        let outcomes = built.iter().map(|cell| cell.outcome(host)).collect();
+        (aggregate_cells(outcomes), observations)
     }
 }
 
@@ -1455,13 +1174,17 @@ impl NowCluster {
 /// spans (`job_makespan`, `paging.total`) take the slowest cell, counters
 /// and accumulated durations sum, and the mean metrics are re-weighted by
 /// each cell's event count (netram faults, background frames) so they
-/// equal the mean over the union of events, not a mean of means.
-fn aggregate_cells(cells: &[ScenarioOutcome]) -> ScenarioOutcome {
+/// equal the mean over the union of events, not a mean of means. A
+/// single cell's outcome passes through untouched.
+fn aggregate_cells(mut cells: Vec<ScenarioOutcome>) -> ScenarioOutcome {
+    if cells.len() == 1 {
+        return cells.remove(0);
+    }
     let mut agg = cells[0].clone();
     let mut fetch_sum = 0.0_f64;
     let mut fetch_weight = 0u64;
     let mut latency_sum = 0.0_f64;
-    for cell in cells {
+    for cell in &cells {
         if let Some(mean) = cell.mean_netram_fetch_us {
             fetch_sum += mean * cell.paging.pager.netram_faults as f64;
             fetch_weight += cell.paging.pager.netram_faults;

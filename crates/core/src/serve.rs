@@ -15,21 +15,13 @@
 //! own observation footprint (`probe.observation_bytes`), so the bound is
 //! measured, not asserted.
 
-use std::sync::Arc;
-
 use now_am::BatchConfig;
 use now_cache::{ServeComponent, ServeConfig, ServeEvent};
-use now_probe::causal::critical_path;
-use now_probe::recorder::{TimeSeries, WindowedSeries};
 use now_probe::QuantileSketch;
-use now_sim::parallel::run_indexed;
 use now_sim::{Engine, EventCast, SimTime};
 
 use crate::cluster::NowCluster;
-use crate::scenario::{
-    batched_fabric, gauges_with_batch, RecorderComponent, RecorderEvent, ScenarioObservations,
-    ScenarioObserver,
-};
+use crate::scenario::{RecorderEvent, ScenarioObservations, ScenarioObserver};
 
 /// Events of the serving engine: the workload plus the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +64,12 @@ pub struct ServeSpec {
     /// Front-end workstations, placed on nodes `0..front_ends`; the
     /// server takes the last node.
     pub front_ends: usize,
-    /// Accepted for CLI symmetry with the coupled scenario's
-    /// [`ScenarioSpec::partitions`](crate::ScenarioSpec::partitions) and
-    /// clamped to 1: the whole population lives in one event-coupled
-    /// [`ServeComponent`] (every request contends for the same server
-    /// cache and fabric), so there is no event-closed cut to shard along
-    /// and the run is serial at any requested value.
+    /// Ignored: the run is serial at any value. Unlike the coupled
+    /// scenario's
+    /// [`ScenarioSpec::partitions`](crate::ScenarioSpec::partitions), the
+    /// whole population lives in one event-coupled [`ServeComponent`]
+    /// (every request contends for the same server cache and fabric), so
+    /// there is no event-closed cut to shard along.
     pub partitions: u32,
     /// Active-message batching knobs for the serving fabric (the default
     /// zero quantum is batching off, byte-identical to the classic path).
@@ -167,8 +159,6 @@ impl NowCluster {
         spec: &ServeSpec,
         observer: &ScenarioObserver,
     ) -> (ServeOutcome, ScenarioObservations) {
-        // A new run is a new utilization epoch (see the coupled scenario).
-        observer.probe.util_epoch();
         let probe = &observer.probe;
         let n = self.nodes();
         let front_ends = spec.front_ends;
@@ -177,78 +167,33 @@ impl NowCluster {
             "serving needs {front_ends} front-ends + server; only {n} nodes"
         );
         let client_nodes: Vec<u32> = (0..front_ends as u32).collect();
-        let server_node = n - 1;
 
-        let mut network = self.interconnect().network(n);
-        network.set_probe(probe.clone());
-        let mut engine: Engine<ServeScenarioEvent> =
-            Engine::with_transport(batched_fabric(network, spec.am_batch, probe));
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
-
+        let mut engine: Engine<ServeScenarioEvent> = self.fabric_engine(spec.am_batch, probe);
+        let mut watch = observer.attach(&mut engine);
         let mut serve = ServeComponent::new(spec.config.clone(), front_ends)
-            .with_placement(client_nodes, server_node);
+            .with_placement(client_nodes, n - 1);
         serve.set_probe(probe);
         let serve_id = engine.register(serve);
-
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(RecorderComponent::with_gauges(
-                probe,
-                &gauges_with_batch(&SERVE_RECORDED_GAUGES, spec.am_batch),
-                every,
-                spec.config.horizon,
-                observer.window_budget,
-            ))
-        });
-
         engine.schedule_at(
             serve_id,
             SimTime::ZERO,
             ServeScenarioEvent::Serve(ServeEvent::Arrival),
         );
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                ServeScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        if observer.profile {
-            engine.enable_profiler(&SERVE_COMPONENT_NAMES);
-        }
-        engine.run();
-        let profile = engine.take_profile();
-
-        let (timeseries, windowed, recorder_bytes) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (
-                    recorder.timeseries(),
-                    recorder.windowed(),
-                    recorder.approx_bytes(),
-                )
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default(), 0),
-        };
-        let blame = match &observer.causal {
-            Some(log) => critical_path(log, "serve.done", &SERVE_COMPONENT_NAMES)
-                .map(|table| ("serve", table))
-                .into_iter()
-                .collect(),
-            None => Vec::new(),
-        };
-        let (causal_records, causal_dropped, causal_bytes) = match &observer.causal {
-            Some(log) => (log.len(), log.dropped(), log.approx_bytes()),
-            None => (0, 0, 0),
-        };
+        watch.record(
+            &mut engine,
+            probe,
+            &SERVE_RECORDED_GAUGES,
+            spec.am_batch,
+            spec.config.horizon,
+        );
+        let (observations, footprint) = watch.run(
+            &mut engine,
+            &SERVE_COMPONENT_NAMES,
+            &[("serve", "serve.done")],
+        );
 
         let serve = engine.component::<ServeComponent>(serve_id);
-        let observation_bytes = serve.observation_bytes() + causal_bytes + recorder_bytes;
+        let observation_bytes = serve.observation_bytes() + footprint.bytes;
         probe
             .gauge("probe.observation_bytes")
             .set(observation_bytes as f64);
@@ -262,48 +207,23 @@ impl NowCluster {
             exact_latencies: serve.exact_latencies().to_vec(),
             workload_bytes: serve.workload_bytes(),
             observation_bytes,
-            causal_records,
-            causal_dropped,
+            causal_records: footprint.causal_records,
+            causal_dropped: footprint.causal_dropped,
         };
-        (
-            outcome,
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile,
-            },
-        )
-    }
-
-    /// Runs each `(spec, observer)` pair as an independent observed
-    /// serving run over up to `jobs` worker threads, in input order.
-    ///
-    /// As with [`NowCluster::run_scenarios_observed`], give each run its
-    /// own observer; callers sharing one enabled probe should keep
-    /// `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_serve`](Self::run_serve).
-    pub fn run_serves_observed(
-        &self,
-        runs: &[(ServeSpec, ScenarioObserver)],
-        jobs: usize,
-    ) -> Vec<(ServeOutcome, ScenarioObservations)> {
-        run_indexed(jobs, runs, |_, (spec, observer)| {
-            self.run_serve_observed(spec, observer)
-        })
+        (outcome, observations)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::cluster::Interconnect;
     use now_cache::ThinkTime;
     use now_probe::causal::CausalLog;
     use now_probe::{Probe, Registry};
+    use now_sim::parallel::run_indexed;
     use now_sim::SimDuration;
 
     fn cluster() -> NowCluster {
@@ -433,8 +353,14 @@ mod tests {
             .iter()
             .map(|&p| (spec(p), ScenarioObserver::disabled()))
             .collect();
-        let serial = cluster().run_serves_observed(&runs, 1);
-        let fanned = cluster().run_serves_observed(&runs, 4);
+        let cluster = cluster();
+        let run = |jobs| {
+            run_indexed(jobs, &runs, |_, (spec, observer)| {
+                cluster.run_serve_observed(spec, observer)
+            })
+        };
+        let serial = run(1);
+        let fanned = run(4);
         for ((a, _), (b, _)) in serial.iter().zip(&fanned) {
             assert_eq!(a, b);
         }

@@ -169,6 +169,7 @@ pub fn am_slowdown(competing_jobs: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::cosched::{slowdown, AppSpec, CoschedConfig};
+    use now_probe::Probe;
 
     #[test]
     fn gang_scheduled_am_run_is_fast() {
@@ -207,6 +208,7 @@ mod tests {
         let quantum_model = slowdown(
             &AppSpec::figure4_apps()[3],
             &CoschedConfig::paper_defaults(2),
+            &Probe::disabled(),
         );
         let protocol_model = am_slowdown(2);
         assert!(quantum_model > 10.0 && protocol_model > 10.0);
@@ -214,6 +216,7 @@ mod tests {
         let quantum_1 = slowdown(
             &AppSpec::figure4_apps()[3],
             &CoschedConfig::paper_defaults(1),
+            &Probe::disabled(),
         );
         let protocol_1 = am_slowdown(1);
         assert!(quantum_model > quantum_1);

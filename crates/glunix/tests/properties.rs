@@ -3,6 +3,7 @@
 use now_glunix::cosched::{run, AppSpec, CommPattern, CoschedConfig, Scheduling};
 use now_glunix::exec::{run_batch, ExecConfig, SeqJob};
 use now_glunix::mixed::{dedicated_mpp, now_cluster, MixedConfig};
+use now_probe::Probe;
 use now_sim::{SimDuration, SimTime};
 use now_trace::lanl::{JobTrace, JobTraceConfig};
 use now_trace::usage::{UsageTrace, UsageTraceConfig};
@@ -34,8 +35,8 @@ proptest! {
             pattern,
         };
         let config = CoschedConfig::paper_defaults(competing);
-        let gang = run(&app, Scheduling::Gang, &config);
-        let local = run(&app, Scheduling::Local, &config);
+        let gang = run(&app, Scheduling::Gang, &config, &Probe::disabled());
+        let local = run(&app, Scheduling::Local, &config, &Probe::disabled());
         prop_assert!(local >= gang, "local {local} beat gang {gang} for {pattern:?}");
     }
 

@@ -23,11 +23,13 @@
 //!
 //! ```
 //! use now_mem::multigrid::{self, MemoryConfig};
+//! use now_probe::Probe;
 //!
 //! // A 96-MB problem on a 32-MB workstation: thrashing to disk is several
 //! // times slower than paging to network RAM.
-//! let disk = multigrid::run(96, MemoryConfig::local32_disk()).total;
-//! let netram = multigrid::run(96, MemoryConfig::local32_netram()).total;
+//! let off = Probe::disabled();
+//! let disk = multigrid::run(96, MemoryConfig::local32_disk(), &off).total;
+//! let netram = multigrid::run(96, MemoryConfig::local32_netram(), &off).total;
 //! assert!(disk.as_secs_f64() > 3.0 * netram.as_secs_f64());
 //! ```
 

@@ -392,39 +392,16 @@ impl RunResult {
 }
 
 /// Runs a `problem_mb`-MB multigrid problem under `memory` with the paper's
-/// application parameters.
-pub fn run(problem_mb: u64, memory: MemoryConfig) -> RunResult {
-    run_with(problem_mb, memory, MultigridConfig::paper_defaults())
-}
-
-/// [`run`] with telemetry: the pager's `pager.*` / `netram.*` probes fire,
-/// and the whole run is recorded as a `mem/multigrid` span of simulated
-/// time (with the problem size as an argument).
-pub fn run_probed(problem_mb: u64, memory: MemoryConfig, probe: &Probe) -> RunResult {
-    run_with_probed(problem_mb, memory, MultigridConfig::paper_defaults(), probe)
-}
-
-/// Runs with explicit application parameters.
+/// application parameters. The pager's `pager.*` / `netram.*` probes fire
+/// on `probe`, and the whole run is recorded as a `mem/multigrid` span of
+/// simulated time (with the problem size as an argument).
 ///
 /// # Panics
 ///
 /// Panics if the problem is empty.
-pub fn run_with(problem_mb: u64, memory: MemoryConfig, app: MultigridConfig) -> RunResult {
-    run_with_probed(problem_mb, memory, app, &Probe::disabled())
-}
-
-/// [`run_with`] with telemetry (see [`run_probed`]).
-///
-/// # Panics
-///
-/// Panics if the problem is empty.
-pub fn run_with_probed(
-    problem_mb: u64,
-    memory: MemoryConfig,
-    app: MultigridConfig,
-    probe: &Probe,
-) -> RunResult {
+pub fn run(problem_mb: u64, memory: MemoryConfig, probe: &Probe) -> RunResult {
     assert!(problem_mb > 0, "problem must have pages");
+    let app = MultigridConfig::paper_defaults();
     let pages = problem_mb * 1024 * 1024 / PAGE_BYTES;
     let mut pager = memory.build_pager();
     pager.set_probe(probe.clone());
@@ -467,7 +444,12 @@ pub fn figure2_series() -> [(String, Vec<(f64, f64)>); 3] {
     configs.map(|(name, cfg)| {
         let points = figure2_sizes()
             .into_iter()
-            .map(|mb| (mb as f64, run(mb, cfg.clone()).total.as_secs_f64()))
+            .map(|mb| {
+                (
+                    mb as f64,
+                    run(mb, cfg.clone(), &Probe::disabled()).total.as_secs_f64(),
+                )
+            })
             .collect();
         (name.to_string(), points)
     })
@@ -480,9 +462,9 @@ mod tests {
     #[test]
     fn all_configs_identical_when_problem_fits() {
         let small = 24; // < 32 MB
-        let disk = run(small, MemoryConfig::local32_disk());
-        let big = run(small, MemoryConfig::local128());
-        let netram = run(small, MemoryConfig::local32_netram());
+        let disk = run(small, MemoryConfig::local32_disk(), &Probe::disabled());
+        let big = run(small, MemoryConfig::local128(), &Probe::disabled());
+        let netram = run(small, MemoryConfig::local32_netram(), &Probe::disabled());
         assert_eq!(disk.total, big.total);
         assert_eq!(netram.total, big.total);
         assert_eq!(disk.pager.disk_faults, 0);
@@ -494,8 +476,8 @@ mod tests {
         // The paper: "programs run 10 to 30 percent slower using network
         // RAM than if the program fits entirely in local DRAM."
         for mb in [64, 96, 120] {
-            let netram = run(mb, MemoryConfig::local32_netram());
-            let big = run(mb, MemoryConfig::local128());
+            let netram = run(mb, MemoryConfig::local32_netram(), &Probe::disabled());
+            let big = run(mb, MemoryConfig::local128(), &Probe::disabled());
             let slowdown = netram.slowdown_vs(&big);
             assert!(
                 (1.08..=1.35).contains(&slowdown),
@@ -509,8 +491,8 @@ mod tests {
         // The paper: "using network RAM is 5 to 10 times faster than
         // thrashing to disk."
         for mb in [64, 96, 120] {
-            let netram = run(mb, MemoryConfig::local32_netram());
-            let disk = run(mb, MemoryConfig::local32_disk());
+            let netram = run(mb, MemoryConfig::local32_netram(), &Probe::disabled());
+            let disk = run(mb, MemoryConfig::local32_disk(), &Probe::disabled());
             let speedup = disk.slowdown_vs(&netram);
             assert!(
                 (4.0..=11.0).contains(&speedup),
@@ -521,7 +503,7 @@ mod tests {
 
     #[test]
     fn big_dram_machine_never_pages_up_to_its_capacity() {
-        let r = run(120, MemoryConfig::local128());
+        let r = run(120, MemoryConfig::local128(), &Probe::disabled());
         assert_eq!(r.pager.disk_faults, 0);
         assert_eq!(r.pager.netram_faults, 0);
         assert_eq!(r.stall.as_nanos(), r.pager.soft_faults * 50_000);
@@ -536,7 +518,7 @@ mod tests {
         ] {
             let mut last = SimDuration::ZERO;
             for mb in [16, 48, 96] {
-                let r = run(mb, cfg.clone());
+                let r = run(mb, cfg.clone(), &Probe::disabled());
                 assert!(r.total > last, "{cfg:?} not monotone at {mb} MB");
                 last = r.total;
             }
@@ -547,9 +529,9 @@ mod tests {
     fn thrashing_onset_is_at_local_capacity() {
         // At 32 MB the problem exactly fills the frames: no steady-state
         // faults. Just past it, faulting starts.
-        let at = run(32, MemoryConfig::local32_disk());
+        let at = run(32, MemoryConfig::local32_disk(), &Probe::disabled());
         assert_eq!(at.pager.disk_faults, 0);
-        let past = run(40, MemoryConfig::local32_disk());
+        let past = run(40, MemoryConfig::local32_disk(), &Probe::disabled());
         assert!(past.pager.disk_faults > 0);
     }
 
@@ -570,7 +552,7 @@ mod tests {
 
     #[test]
     fn pager_sees_every_access() {
-        let r = run(16, MemoryConfig::local128());
+        let r = run(16, MemoryConfig::local128(), &Probe::disabled());
         let pages = 16 * 1024 * 1024 / PAGE_BYTES;
         assert_eq!(r.pager.accesses, pages * 5);
     }

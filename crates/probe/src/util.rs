@@ -34,6 +34,7 @@
 //! collapsing consecutive windows with the same leader into phases.
 
 use now_sim::report::TextTable;
+use std::cmp::Ordering;
 use std::sync::Mutex;
 
 /// Maximum rollup windows per resource.
@@ -283,9 +284,39 @@ pub fn bottlenecks(utils: &[(String, UtilSnapshot)]) -> Bottlenecks {
     }
 }
 
-/// Renders a utilization table: one row per resource, sorted by name (the
-/// snapshot order), with busy/idle/wall in milliseconds and the busy
-/// share.
+/// Orders resource names the way a reader counts: runs of digits compare
+/// as numbers, so `net.link.rx.4` sorts before `net.link.rx.31` (and
+/// `cell2.` before `cell10.`); everything else compares as text.
+fn natural_cmp(a: &str, b: &str) -> Ordering {
+    let run_len = |s: &str, digits: bool| {
+        s.find(|c: char| c.is_ascii_digit() != digits)
+            .unwrap_or(s.len())
+    };
+    let (mut a, mut b) = (a, b);
+    while let (Some(ca), Some(cb)) = (a.chars().next(), b.chars().next()) {
+        let (da, db) = (ca.is_ascii_digit(), cb.is_ascii_digit());
+        let (ha, ta) = a.split_at(run_len(a, da));
+        let (hb, tb) = b.split_at(run_len(b, db));
+        let order = if da && db {
+            let (na, nb) = (ha.trim_start_matches('0'), hb.trim_start_matches('0'));
+            na.len()
+                .cmp(&nb.len())
+                .then_with(|| na.cmp(nb))
+                .then_with(|| ha.len().cmp(&hb.len()))
+        } else {
+            ha.cmp(hb)
+        };
+        if order != Ordering::Equal {
+            return order;
+        }
+        (a, b) = (ta, tb);
+    }
+    a.len().cmp(&b.len())
+}
+
+/// Renders a utilization table: one row per resource, sorted by name with
+/// numeric runs compared as numbers (see [`natural_cmp`]), with
+/// busy/idle/wall in milliseconds and the busy share.
 pub fn render_util_table(utils: &[(String, UtilSnapshot)]) -> String {
     let mut t = TextTable::new(&[
         "resource",
@@ -296,7 +327,9 @@ pub fn render_util_table(utils: &[(String, UtilSnapshot)]) -> String {
         "intervals",
     ]);
     t.title("Resource utilization (busy + idle = wall, per resource)");
-    for (name, u) in utils {
+    let mut rows: Vec<&(String, UtilSnapshot)> = utils.iter().collect();
+    rows.sort_by(|(a, _), (b, _)| natural_cmp(a, b));
+    for (name, u) in rows {
         t.row_owned(vec![
             name.clone(),
             fmt_ms(u.busy_ns),
@@ -350,6 +383,38 @@ mod tests {
 
     fn snap(core: &UtilCore) -> UtilSnapshot {
         core.snapshot()
+    }
+
+    #[test]
+    fn util_table_orders_numbered_resources_numerically() {
+        let utils: Vec<(String, UtilSnapshot)> = [
+            "net.link.rx.31",
+            "net.link.rx.4",
+            "cell10.net.nic.0",
+            "cell2.net.nic.0",
+        ]
+        .iter()
+        .map(|name| (name.to_string(), snap(&UtilCore::new())))
+        .collect();
+        let table = render_util_table(&utils);
+        let rows: Vec<&str> = table
+            .lines()
+            .filter_map(|line| line.split_whitespace().next())
+            .filter(|first| first.contains('.'))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "cell2.net.nic.0",
+                "cell10.net.nic.0",
+                "net.link.rx.4",
+                "net.link.rx.31"
+            ],
+            "{table}"
+        );
+        assert_eq!(natural_cmp("rx.04", "rx.4"), Ordering::Greater);
+        assert_eq!(natural_cmp("rx.4", "rx.4"), Ordering::Equal);
+        assert_eq!(natural_cmp("rx", "rx.1"), Ordering::Less);
     }
 
     #[test]

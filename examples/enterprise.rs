@@ -11,6 +11,7 @@ use now_models::sensitivity::{
     gator_vs_overhead, netram_breakeven_mbps, netram_speedup_vs_bandwidth, overhead_crossover_us,
 };
 use now_net::{Fabric, HierarchicalFabric, Network, NicAttachment, NodeId, SoftwareCosts};
+use now_probe::Probe;
 use now_sim::SimTime;
 
 fn main() {
@@ -36,7 +37,14 @@ fn main() {
     );
     let b = barrier(&mut net, 100, SimTime::ZERO).saturating_since(SimTime::ZERO);
     let bc = broadcast(&mut net, 100, SimTime::ZERO).saturating_since(SimTime::ZERO);
-    let put = bulk_put(&mut net, NodeId(0), NodeId(99), 1 << 20, SimTime::ZERO);
+    let put = bulk_put(
+        &mut net,
+        NodeId(0),
+        NodeId(99),
+        1 << 20,
+        SimTime::ZERO,
+        &Probe::disabled(),
+    );
     println!("100-node barrier:   {b}");
     println!("100-node broadcast: {bc}");
     println!(

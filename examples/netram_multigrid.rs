@@ -6,6 +6,7 @@
 //! ```
 
 use now_mem::multigrid::{figure2_series, run, MemoryConfig};
+use now_probe::Probe;
 
 fn main() {
     // The full figure.
@@ -21,9 +22,9 @@ fn main() {
 
     // The paper's two claims, at one representative size.
     let mb = 96;
-    let disk = run(mb, MemoryConfig::local32_disk());
-    let big = run(mb, MemoryConfig::local128());
-    let netram = run(mb, MemoryConfig::local32_netram());
+    let disk = run(mb, MemoryConfig::local32_disk(), &Probe::disabled());
+    let big = run(mb, MemoryConfig::local128(), &Probe::disabled());
+    let netram = run(mb, MemoryConfig::local32_netram(), &Probe::disabled());
     println!();
     println!("at {mb} MB:");
     println!(

@@ -6,6 +6,7 @@
 use now_models::gator;
 use now_models::remote_access::{AccessModel, Network, Target};
 use now_models::techtrend::AnnualImprovement;
+use now_probe::Probe;
 
 #[test]
 fn table1_shape_mpp_lag_costs_a_factor_of_two() {
@@ -42,9 +43,15 @@ fn table2_shape_remote_memory_beats_disk_only_on_switched_lans() {
 fn figure2_shape_netram_between_dram_and_disk() {
     use now_mem::multigrid::{run, MemoryConfig};
     for mb in [64, 96, 120] {
-        let dram = run(mb, MemoryConfig::local128()).total.as_secs_f64();
-        let netram = run(mb, MemoryConfig::local32_netram()).total.as_secs_f64();
-        let disk = run(mb, MemoryConfig::local32_disk()).total.as_secs_f64();
+        let dram = run(mb, MemoryConfig::local128(), &Probe::disabled())
+            .total
+            .as_secs_f64();
+        let netram = run(mb, MemoryConfig::local32_netram(), &Probe::disabled())
+            .total
+            .as_secs_f64();
+        let disk = run(mb, MemoryConfig::local32_disk(), &Probe::disabled())
+            .total
+            .as_secs_f64();
         let vs_dram = netram / dram;
         let vs_disk = disk / netram;
         assert!(
@@ -67,8 +74,16 @@ fn table3_shape_cooperation_halves_disk_reads() {
     let mut cfg = FsTraceConfig::paper_defaults();
     cfg.duration = SimDuration::from_secs(12 * 3600);
     let trace = FsTrace::generate(&cfg, 42);
-    let base = simulate(&trace, &CacheConfig::table3(Policy::ClientServer));
-    let coop = simulate(&trace, &CacheConfig::table3(Policy::GreedyForwarding));
+    let base = simulate(
+        &trace,
+        &CacheConfig::table3(Policy::ClientServer),
+        &Probe::disabled(),
+    );
+    let coop = simulate(
+        &trace,
+        &CacheConfig::table3(Policy::GreedyForwarding),
+        &Probe::disabled(),
+    );
     assert!(coop.disk_read_rate() < base.disk_read_rate() * 0.75);
     let response_gain =
         base.avg_read_response().as_micros_f64() / coop.avg_read_response().as_micros_f64();
@@ -121,7 +136,10 @@ fn figure4_shape_app_sensitivity_ordering() {
     use now_glunix::cosched::{slowdown, AppSpec, CoschedConfig};
     let apps = AppSpec::figure4_apps();
     let config = CoschedConfig::paper_defaults(2);
-    let s: Vec<f64> = apps.iter().map(|a| slowdown(a, &config)).collect();
+    let s: Vec<f64> = apps
+        .iter()
+        .map(|a| slowdown(a, &config, &Probe::disabled()))
+        .collect();
     // random small msgs ≈ 1; Column and Em3d clearly slowed; Connect worst.
     assert!(s[0] < 1.6, "random {s:?}");
     assert!(s[1] > 2.0 && s[2] > 2.0, "column/em3d {s:?}");

@@ -1,10 +1,28 @@
-//! The distribution report's contracts, end to end: blame tables that do
-//! not depend on the worker count, byte-identical delivered images across
-//! strategies, and a crossover that lands inside the sweep. Byte identity
-//! of the report across runs, worker counts and partition requests is
-//! checked with every other report in `parallel_determinism.rs`.
+//! The distribution report's contracts, end to end: byte-identical
+//! output across repeated runs, worker counts, and partition requests;
+//! blame tables that do not depend on the worker count; byte-identical
+//! delivered images across strategies; and a crossover that lands inside
+//! the sweep.
 
+mod common;
+
+use common::assert_schedule_free;
 use now_bench::Report;
+
+#[test]
+fn distribute_report_is_byte_identical_across_runs_and_jobs() {
+    // jobs=4 twice: the second pass checks repeated runs agree.
+    let schedules = [(2, 1), (4, 1), (4, 1)];
+    assert_schedule_free("distribute", now_bench::distribute, 32, &schedules);
+}
+
+#[test]
+fn distribute_report_is_byte_identical_across_partitions() {
+    // A distribution run is one event-coupled component and never reads
+    // the partition count, so no value of it may change the report.
+    let schedules = [(1, 0), (1, 4), (4, 4)];
+    assert_schedule_free("distribute", now_bench::distribute, 32, &schedules);
+}
 
 #[test]
 fn distribute_blame_tables_are_deterministic() {

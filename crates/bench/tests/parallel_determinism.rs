@@ -9,40 +9,22 @@
 //! check the promises where they matter — the rendered tables the
 //! `repro` binary ships.
 
-use now_bench::{ObservedReport, Report};
+mod common;
 
-/// A smoke report at the given schedule.
-fn smoke(jobs: usize, nodes: u32, partitions: u32) -> Report {
-    Report {
-        smoke: true,
-        jobs,
-        nodes,
-        partitions,
-        ..Report::default()
+use common::{assert_schedule_free, smoke, SCHEDULES};
+use now_bench::Report;
+
+#[test]
+fn contention_table_is_byte_identical_across_jobs() {
+    // One cell, then two cells: partitions shard only multi-cell runs.
+    for nodes in [32, 64] {
+        assert_schedule_free("contention", now_bench::contention, nodes, &SCHEDULES);
     }
 }
 
 #[test]
-fn every_report_is_byte_identical_across_jobs_and_partitions() {
-    type Render = fn(&Report) -> ObservedReport;
-    let reports: [(&str, Render, u32); 5] = [
-        ("contention", now_bench::contention, 32),
-        ("contention", now_bench::contention, 64),
-        ("availability", now_bench::availability, 32),
-        ("serve", now_bench::serve, 32),
-        ("distribute", now_bench::distribute, 32),
-    ];
-    for (name, render, nodes) in reports {
-        let serial = render(&smoke(1, nodes, 1)).text;
-        // The serial schedule comes round again: repeated runs agree too.
-        for (jobs, partitions) in [(4, 1), (1, 4), (4, 4), (1, 1)] {
-            assert_eq!(
-                serial,
-                render(&smoke(jobs, nodes, partitions)).text,
-                "{name} at {nodes} nodes diverged at jobs={jobs}, partitions={partitions}"
-            );
-        }
-    }
+fn availability_report_is_byte_identical_across_jobs() {
+    assert_schedule_free("availability", now_bench::availability, 32, &SCHEDULES);
 }
 
 #[test]

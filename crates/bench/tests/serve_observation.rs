@@ -1,11 +1,15 @@
 //! The streaming observation layer's contract on the serving workload:
-//! byte-identical windowed series whatever the worker count, and
+//! a byte-identical report and windowed series whatever the worker count,
+//! partition request or run, and
 //! observation memory that stays flat while the event count grows a
 //! hundredfold — with sketch quantiles still inside the documented error
 //! bound of an exhaustive (test-only) measurement.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{assert_schedule_free, SCHEDULES};
 use now_bench::{Report, SEED};
 use now_cache::{AccessCosts, ServeConfig, ThinkTime};
 use now_core::{NowCluster, ScenarioObserver, ServeSpec};
@@ -50,6 +54,11 @@ fn observer(expected_requests: u64) -> ScenarioObserver {
         window_budget: Some(64),
         profile: false,
     }
+}
+
+#[test]
+fn serve_report_is_byte_identical_across_jobs_and_runs() {
+    assert_schedule_free("serve", now_bench::serve, 32, &SCHEDULES);
 }
 
 #[test]

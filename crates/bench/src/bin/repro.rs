@@ -16,13 +16,17 @@
 //! repro contention --jobs 4        # fan independent runs over 4 threads
 //! repro contention --nodes 256     # 8 cells of 32 nodes per sweep point
 //! repro contention --nodes 256 --partitions 4  # shard the cells over 4 cores
-//! repro --bench-out BENCH_repro.json --jobs 4  # wall-time harness, serial vs parallel
 //! repro contention --util          # append the resource-utilization observatory
 //! repro contention --profile       # append host-time profile (where the wall went)
 //! repro serve --profile-out out.collapsed  # flamegraph-ready collapsed stacks
 //! repro contention --metrics=json --metrics-out snap.json  # snapshot to a file
 //! repro diff baseline.json current.json --threshold 0.15   # regression gate
 //! ```
+//!
+//! Every flag is declared once, in `FLAGS` (`DIFF_FLAGS` for `repro
+//! diff`), which both parses the command line and renders `--help`. A flag with an environment variable
+//! falls back to it when the command line leaves the flag unset, and the
+//! variable's value passes the same check as the flag's.
 //!
 //! `--jobs N` (or the `NOW_JOBS` environment variable) sets how many
 //! worker threads the contention sweep, the availability report, and the
@@ -41,15 +45,15 @@
 //! partition count — only wall-clock time moves.
 
 use std::env;
+use std::num::NonZeroUsize;
 use std::process::exit;
-use std::time::Instant;
 
+use now_bench::Report;
 use now_probe::recorder::{
     csv_concat, json_concat, windowed_csv_concat, TimeSeries, WindowedSeries,
 };
 use now_probe::util::{bottlenecks, render_bottlenecks, render_util_table};
 use now_probe::{Probe, Registry};
-use now_sim::parallel::resolve_jobs;
 use now_sim::HostProfile;
 
 /// Every scenario name the CLI accepts as a positional argument, with a
@@ -91,40 +95,346 @@ const SCENARIOS: &[(&str, &str)] = &[
 /// Aliases accepted for the figure scenarios (`figure1` for `fig1`, ...).
 const SCENARIO_ALIASES: &[&str] = &["figure1", "figure2", "figure3", "figure4"];
 
+/// What `repro`'s flags set: the shared report plan plus the outputs
+/// only the CLI knows about.
+#[derive(Default)]
+struct Cli {
+    report: Report,
+    fast: bool,
+    util: bool,
+    metrics: Option<Metrics>,
+    metrics_out: Option<String>,
+    profile_out: Option<String>,
+    trace_out: Option<String>,
+    timeseries_out: Option<String>,
+}
+
+/// How `--metrics` renders the probe snapshot.
+enum Metrics {
+    Text,
+    Csv,
+    Json,
+}
+
+/// What `repro diff`'s flags set.
+struct DiffCli {
+    threshold: f64,
+    ignore: Vec<String>,
+}
+
+/// How a flag takes its value, and where in the settings `C` it lands.
+/// A missing or rejected value exits 2 (see [`Flag::store`]).
+enum Takes<C> {
+    /// A switch: `--flag` sets the slot.
+    Switch(fn(&mut C) -> &mut bool),
+    /// `--flag PATH` or `--flag=PATH`: any text, kept in the slot. A
+    /// missing path says the flag needs a file path.
+    Path(fn(&mut C) -> &mut Option<String>),
+    /// `--flag META` or `--flag=META`, or else the environment variable
+    /// `env`: `set` parses, checks and stores the value, or returns false.
+    /// A rejection says the flag needs `need`, followed by `hint` in the
+    /// spaced form or by the rejected text otherwise.
+    Value {
+        meta: &'static str,
+        need: &'static str,
+        hint: &'static str,
+        env: Option<&'static str>,
+        set: fn(&mut C, &str) -> bool,
+    },
+    /// `--flag[=FMT]`: a metrics format, `text` when bare. A rejection
+    /// names the formats.
+    Format(fn(&mut C) -> &mut Option<Metrics>),
+}
+
+/// One command-line flag of the settings `C`, with its `--help` line.
+struct Flag<C> {
+    name: &'static str,
+    takes: Takes<C>,
+    help: &'static str,
+}
+
+/// Parses `s` into `slot` when `ok` accepts it.
+fn store<T: std::str::FromStr>(slot: &mut T, s: &str, ok: impl Fn(&T) -> bool) -> bool {
+    match s.parse() {
+        Ok(v) if ok(&v) => {
+            *slot = v;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Every flag of `repro` outside `diff`, in `--help` order.
+const FLAGS: &[Flag<Cli>] = &[
+    Flag {
+        name: "--fast",
+        takes: Takes::Switch(|c| &mut c.fast),
+        help: "Table 3 on a 12-hour trace instead of two days",
+    },
+    Flag {
+        name: "--smoke",
+        takes: Takes::Switch(|c| &mut c.report.smoke),
+        help: "smaller sweeps and fewer Monte-Carlo trials",
+    },
+    Flag {
+        name: "--blame",
+        takes: Takes::Switch(|c| &mut c.report.blame),
+        help: "append critical-path blame tables",
+    },
+    Flag {
+        name: "--jobs",
+        takes: Takes::Value {
+            meta: "N",
+            need: "a positive worker count",
+            hint: "",
+            env: Some("NOW_JOBS"),
+            set: |c, s| store(&mut c.report.jobs, s, |&n| n >= 1),
+        },
+        help: "fan independent runs over N worker threads",
+    },
+    Flag {
+        name: "--partitions",
+        takes: Takes::Value {
+            meta: "N",
+            need: "a partition count",
+            hint: " (0 = one per core)",
+            env: Some("NOW_PARTITIONS"),
+            set: |c, s| store(&mut c.report.partitions, s, |_| true),
+        },
+        help: "shard contention cells over N engine partitions (0 = per core)",
+    },
+    Flag {
+        name: "--nodes",
+        takes: Takes::Value {
+            meta: "N",
+            need: "a positive multiple of 32",
+            hint: "",
+            env: None,
+            set: |c, s| store(&mut c.report.nodes, s, |&n| n >= 32 && n % 32 == 0),
+        },
+        help: "scale scaled scenarios to N nodes (multiple of 32)",
+    },
+    Flag {
+        name: "--am-batch",
+        takes: Takes::Value {
+            meta: "N",
+            need: "a flush quantum in microseconds",
+            hint: " (0 = off)",
+            env: None,
+            set: |c, s| store(&mut c.report.am_batch_us, s, |_| true),
+        },
+        help: "active-message flush quantum in us (0 = batching off)",
+    },
+    Flag {
+        name: "--metrics",
+        takes: Takes::Format(|c| &mut c.metrics),
+        help: "append the probe snapshot (text|csv|json)",
+    },
+    Flag {
+        name: "--metrics-out",
+        takes: Takes::Path(|c| &mut c.metrics_out),
+        help: "write the JSON probe snapshot to a file (for repro diff)",
+    },
+    Flag {
+        name: "--util",
+        takes: Takes::Switch(|c| &mut c.util),
+        help: "append the resource-utilization table and bottlenecks",
+    },
+    Flag {
+        name: "--profile",
+        takes: Takes::Switch(|c| &mut c.report.profile),
+        help: "append the host-time profile (wall-clock attribution)",
+    },
+    Flag {
+        name: "--profile-out",
+        takes: Takes::Path(|c| &mut c.profile_out),
+        help: "write collapsed stacks (frame;frame count) for flamegraphs",
+    },
+    Flag {
+        name: "--trace-out",
+        takes: Takes::Path(|c| &mut c.trace_out),
+        help: "write a Chrome/Perfetto trace",
+    },
+    Flag {
+        name: "--timeseries-out",
+        takes: Takes::Path(|c| &mut c.timeseries_out),
+        help: "write flight-recorder samples (CSV, .json for JSON)",
+    },
+];
+
+/// The flags of `repro diff`, in `--help` order.
+const DIFF_FLAGS: &[Flag<DiffCli>] = &[
+    Flag {
+        name: "--threshold",
+        takes: Takes::Value {
+            meta: "X",
+            need: "a non-negative relative delta",
+            hint: " (e.g. 0.15)",
+            env: None,
+            set: |d, s| store(&mut d.threshold, s, |&x| x >= 0.0),
+        },
+        help: "relative delta that counts as a regression (default 0.10)",
+    },
+    Flag {
+        name: "--ignore",
+        takes: Takes::Value {
+            meta: "SUBSTR",
+            need: "a key substring",
+            hint: "",
+            env: None,
+            set: |d, s| {
+                d.ignore.push(s.to_string());
+                true
+            },
+        },
+        help: "skip keys containing SUBSTR (repeatable)",
+    },
+];
+
+impl<C> Flag<C> {
+    /// How `--help` shows the flag: `--fast`, `--jobs N`, `--metrics[=FMT]`.
+    fn synopsis(&self) -> String {
+        match self.takes {
+            Takes::Switch(_) => self.name.to_string(),
+            Takes::Path(_) => format!("{} PATH", self.name),
+            Takes::Value { meta, .. } => format!("{} {meta}", self.name),
+            Takes::Format(_) => format!("{}[=FMT]", self.name),
+        }
+    }
+
+    /// `Some(inline value)` when `arg` is this flag, as `--flag` or (for
+    /// a flag with a value) `--flag=V`; `None` when it is something else.
+    fn matches<'a>(&self, arg: &'a str) -> Option<Option<&'a str>> {
+        if arg == self.name {
+            return Some(None);
+        }
+        if let Takes::Switch(_) = self.takes {
+            return None;
+        }
+        Some(Some(arg.strip_prefix(self.name)?.strip_prefix('=')?))
+    }
+
+    /// Stores `value` (`None` when there was none) into `settings`, or
+    /// exits 2 saying what the flag needs. `source` names where the value
+    /// came from, the flag or its environment variable; `spaced` marks the
+    /// `--flag V` form.
+    fn store(&self, settings: &mut C, source: &str, value: Option<&str>, spaced: bool) {
+        let (need, hint) = match (&self.takes, value) {
+            (Takes::Switch(slot), _) => {
+                *slot(settings) = true;
+                return;
+            }
+            (Takes::Path(slot), Some(path)) => {
+                *slot(settings) = Some(path.to_string());
+                return;
+            }
+            (Takes::Path(_), None) => ("a file path", ""),
+            (Takes::Value { set, .. }, Some(v)) if set(settings, v) => return,
+            (Takes::Value { need, hint, .. }, _) => (*need, *hint),
+            (Takes::Format(slot), format) => {
+                *slot(settings) = Some(match format.unwrap_or("text") {
+                    "text" => Metrics::Text,
+                    "csv" => Metrics::Csv,
+                    "json" => Metrics::Json,
+                    other => {
+                        eprintln!("unknown metrics format {other:?} (want text, csv, or json)");
+                        exit(2);
+                    }
+                });
+                return;
+            }
+        };
+        match value {
+            Some(v) if !spaced => eprintln!("{source} needs {need}, got {v:?}"),
+            _ => eprintln!("{source} needs {need}{hint}"),
+        }
+        exit(2);
+    }
+}
+
+/// Parses `args` against `table` into `settings`, handing every argument
+/// that names no flag to `other`; then fills each flag the command line
+/// left unset from its environment variable, through the same check.
+/// `--help` (or `-h`) prints the usage and exits 0.
+fn parse<C>(
+    table: &[Flag<C>],
+    settings: &mut C,
+    args: impl IntoIterator<Item = String>,
+    mut other: impl FnMut(&mut C, String),
+) {
+    let mut seen = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            print!("{}", usage());
+            exit(0);
+        }
+        let Some((flag, inline)) = table.iter().find_map(|f| Some((f, f.matches(&arg)?))) else {
+            other(settings, arg);
+            continue;
+        };
+        seen.push(flag.name);
+        let next;
+        let value = match flag.takes {
+            Takes::Path(_) | Takes::Value { .. } if inline.is_none() => {
+                next = args.next();
+                next.as_deref()
+            }
+            _ => inline,
+        };
+        flag.store(settings, flag.name, value, inline.is_none());
+    }
+    for flag in table.iter().filter(|f| !seen.contains(&f.name)) {
+        if let Takes::Value { env: Some(var), .. } = flag.takes {
+            if let Ok(value) = env::var(var) {
+                flag.store(settings, var, Some(value.trim()), false);
+            }
+        }
+    }
+}
+
+/// Writes `body` to `path`, or exits 1 saying the `what` could not be
+/// written.
+fn write_or_exit(path: &str, body: String, what: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("cannot write {what} to {path}: {e}");
+        exit(1);
+    }
+}
+
+/// One `--help` line: a flag (or command) and what it does.
+fn help_line(synopsis: &str, help: &str) -> String {
+    format!("  {synopsis:<22} {help}\n")
+}
+
 fn usage() -> String {
-    let mut text = String::from(
+    let diff_flags: Vec<String> = DIFF_FLAGS
+        .iter()
+        .map(|f| format!("[{}]", f.synopsis()))
+        .collect();
+    let mut text = format!(
         "usage: repro [SCENARIO...] [FLAGS]\n\
-         \x20      repro diff BASELINE.json CURRENT.json [--threshold X] [--ignore SUBSTR]\n\n\
+         \x20      repro diff BASELINE.json CURRENT.json {}\n\n\
          Runs every paper artifact when no scenario is named; the serve,\n\
          distribute, and ablations reports are opt-in.\n\nscenarios:\n",
+        diff_flags.join(" ")
     );
     for (name, what) in SCENARIOS {
         text.push_str(&format!("  {name:<14} {what}\n"));
     }
+    text.push_str("\nflags:\n");
+    for flag in FLAGS {
+        text.push_str(&help_line(&flag.synopsis(), flag.help));
+    }
+    text.push_str(&help_line("--help", "this message"));
     text.push_str(
-        "\nflags:\n\
-         \x20 --fast                 Table 3 on a 12-hour trace instead of two days\n\
-         \x20 --smoke                smaller sweeps and fewer Monte-Carlo trials\n\
-         \x20 --blame                append critical-path blame tables\n\
-         \x20 --jobs N               fan independent runs over N worker threads\n\
-         \x20 --partitions N         shard contention cells over N engine partitions (0 = per core)\n\
-         \x20 --nodes N              scale scaled scenarios to N nodes (multiple of 32)\n\
-         \x20 --am-batch N           active-message flush quantum in us (0 = batching off)\n\
-         \x20 --metrics[=FMT]        append the probe snapshot (text|csv|json)\n\
-         \x20 --metrics-out PATH     write the JSON probe snapshot to a file (for repro diff)\n\
-         \x20 --util                 append the resource-utilization table and bottlenecks\n\
-         \x20 --profile              append the host-time profile (wall-clock attribution)\n\
-         \x20 --profile-out PATH     write collapsed stacks (frame;frame count) for flamegraphs\n\
-         \x20 --trace-out PATH       write a Chrome/Perfetto trace\n\
-         \x20 --timeseries-out PATH  write flight-recorder samples (CSV, .json for JSON)\n\
-         \x20 --bench-out PATH       run the wall-time harness and write JSON\n\
-         \x20 --help                 this message\n\
-         \ndiff subcommand:\n\
-         \x20 repro diff BASELINE.json CURRENT.json   compare two --metrics-out snapshots\n\
-         \x20 --threshold X          relative delta that counts as a regression (default 0.10)\n\
-         \x20 --ignore SUBSTR        skip keys containing SUBSTR (repeatable)\n\
-         \x20 exits 1 when any metric moved past the threshold, 0 when clean\n",
+        "\ndiff subcommand:\n  \
+         repro diff BASELINE.json CURRENT.json   compare two --metrics-out snapshots\n",
     );
+    for flag in DIFF_FLAGS {
+        text.push_str(&help_line(&flag.synopsis(), flag.help));
+    }
+    text.push_str("  exits 1 when any metric moved past the threshold, 0 when clean\n");
     text
 }
 
@@ -133,32 +443,18 @@ fn usage() -> String {
 /// leaf by relative delta, and exits nonzero when anything moved past
 /// the threshold so CI can fail the build.
 fn run_diff(args: &[String]) -> ! {
-    let mut threshold = 0.10_f64;
-    let mut ignore: Vec<String> = Vec::new();
+    let mut cli = DiffCli {
+        threshold: 0.10,
+        ignore: Vec::new(),
+    };
     let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned();
-    while let Some(arg) = it.next() {
-        if let Some(x) = flag_value(
-            &arg,
-            "--threshold",
-            &mut it,
-            ("a non-negative relative delta", " (e.g. 0.15)"),
-            |s| s.parse().ok().filter(|&x: &f64| x >= 0.0),
-        ) {
-            threshold = x;
-        } else if let Some(s) = flag_value(&arg, "--ignore", &mut it, ("a key substring", ""), text)
-        {
-            ignore.push(s);
-        } else if arg == "--help" || arg == "-h" {
-            print!("{}", usage());
-            exit(0);
-        } else if arg.starts_with('-') {
+    parse(DIFF_FLAGS, &mut cli, args.iter().cloned(), |_, arg| {
+        if arg.starts_with('-') {
             eprintln!("unknown diff flag {arg:?}\n\n{}", usage());
             exit(2);
-        } else {
-            paths.push(arg);
         }
-    }
+        paths.push(arg);
+    });
     let [baseline_path, current_path] = paths.as_slice() else {
         eprintln!(
             "repro diff needs exactly two snapshot paths (baseline, current)\n\n{}",
@@ -175,7 +471,7 @@ fn run_diff(args: &[String]) -> ! {
     };
     let baseline = read(baseline_path);
     let current = read(current_path);
-    match now_probe::diff::diff(&baseline, &current, threshold, &ignore) {
+    match now_probe::diff::diff(&baseline, &current, cli.threshold, &cli.ignore) {
         Ok(report) => {
             print!("{}", report.render_text());
             exit(if report.has_regressions() { 1 } else { 0 });
@@ -187,42 +483,6 @@ fn run_diff(args: &[String]) -> ! {
     }
 }
 
-/// What a path-valued flag needs, for [`flag_value`]'s error message.
-const FILE_PATH: (&str, &str) = ("a file path", "");
-
-/// Accepts any text as a flag value.
-fn text(s: &str) -> Option<String> {
-    Some(s.to_string())
-}
-
-/// The value of the flag `flag` when `arg` is that flag, given either as
-/// `--flag V` (the value is the next argument, taken from `rest`) or as
-/// `--flag=V`; `None` when `arg` is something else. A missing value, or
-/// one `parse` rejects, exits 2 with "`flag` needs `what`" followed by
-/// `hint` in the spaced form, or by the rejected text in the `=` form.
-fn flag_value<T>(
-    arg: &str,
-    flag: &str,
-    rest: &mut impl Iterator<Item = String>,
-    (what, hint): (&str, &str),
-    parse: impl Fn(&str) -> Option<T>,
-) -> Option<T> {
-    if arg == flag {
-        let value = rest.next().as_deref().and_then(&parse);
-        if value.is_none() {
-            eprintln!("{flag} needs {what}{hint}");
-            exit(2);
-        }
-        return value;
-    }
-    let inline = arg.strip_prefix(flag)?.strip_prefix('=')?;
-    if let Some(value) = parse(inline) {
-        return Some(value);
-    }
-    eprintln!("{flag} needs {what}, got {inline:?}");
-    exit(2);
-}
-
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     // `repro diff` is a subcommand, not a scenario: dispatch before the
@@ -230,192 +490,56 @@ fn main() {
     if args.first().map(String::as_str) == Some("diff") {
         run_diff(&args[1..]);
     }
-    let mut fast = false;
-    let mut smoke = false;
-    let mut blame = false;
-    let mut profile = false;
-    let mut util = false;
-    let mut jobs_arg: Option<usize> = None;
-    let mut partitions_arg: Option<u32> = None;
-    let mut nodes: u32 = 32;
-    let mut am_batch: u64 = 0;
-    let mut metrics: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut profile_out: Option<String> = None;
-    let mut timeseries_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
+    let mut cli = Cli {
+        report: Report {
+            // One worker per core unless --jobs or NOW_JOBS says otherwise.
+            jobs: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            ..Report::default()
+        },
+        ..Cli::default()
+    };
     let mut selected: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--fast" {
-            fast = true;
-        } else if arg == "--smoke" {
-            smoke = true;
-        } else if arg == "--blame" {
-            blame = true;
-        } else if arg == "--profile" || arg == "profile" {
+    parse(FLAGS, &mut cli, args, |cli, arg| {
+        if arg == "profile" {
             // `repro profile contention` reads naturally enough that the
             // bare token is accepted as an alias for the flag.
-            profile = true;
-        } else if arg == "--util" {
-            util = true;
-        } else if let Some(n) = flag_value(
-            &arg,
-            "--jobs",
-            &mut it,
-            ("a positive worker count", ""),
-            |s| s.parse().ok().filter(|&n: &usize| n >= 1),
-        ) {
-            jobs_arg = Some(n);
-        } else if let Some(n) = flag_value(
-            &arg,
-            "--partitions",
-            &mut it,
-            ("a partition count", " (0 = one per core)"),
-            |s| s.parse().ok(),
-        ) {
-            partitions_arg = Some(n);
-        } else if let Some(n) = flag_value(
-            &arg,
-            "--nodes",
-            &mut it,
-            ("a positive multiple of 32", ""),
-            |s| s.parse().ok().filter(|&n: &u32| n >= 32 && n % 32 == 0),
-        ) {
-            nodes = n;
-        } else if let Some(n) = flag_value(
-            &arg,
-            "--am-batch",
-            &mut it,
-            ("a flush quantum in microseconds", " (0 = off)"),
-            |s| s.parse().ok(),
-        ) {
-            am_batch = n;
-        } else if let Some(path) = flag_value(&arg, "--bench-out", &mut it, FILE_PATH, text) {
-            bench_out = Some(path);
-        } else if let Some(path) = flag_value(&arg, "--metrics-out", &mut it, FILE_PATH, text) {
-            metrics_out = Some(path);
-        } else if let Some(path) = flag_value(&arg, "--profile-out", &mut it, FILE_PATH, text) {
-            profile_out = Some(path);
-        } else if arg == "--metrics" {
-            metrics = Some("text".to_string());
-        } else if let Some(format) = arg.strip_prefix("--metrics=") {
-            if !matches!(format, "text" | "csv" | "json") {
-                eprintln!("unknown metrics format {format:?} (want text, csv, or json)");
-                exit(2);
-            }
-            metrics = Some(format.to_string());
-        } else if let Some(path) = flag_value(&arg, "--trace-out", &mut it, FILE_PATH, text) {
-            trace_out = Some(path);
-        } else if let Some(path) = flag_value(&arg, "--timeseries-out", &mut it, FILE_PATH, text) {
-            timeseries_out = Some(path);
-        } else if arg == "--help" || arg == "-h" {
-            print!("{}", usage());
+            cli.report.profile = true;
             return;
-        } else {
-            // Scenarios select bare (`repro table4`) or flag-style
-            // (`repro --table4`); anything else is a typo and dies loudly
-            // rather than silently running the whole suite.
-            let name = arg.trim_start_matches("--");
-            let known =
-                SCENARIOS.iter().any(|(s, _)| *s == name) || SCENARIO_ALIASES.contains(&name);
-            if !known {
-                let kind = if arg.starts_with('-') {
-                    "flag"
-                } else {
-                    "scenario"
-                };
-                eprintln!("unknown {kind} {arg:?}\n\n{}", usage());
-                exit(2);
-            }
-            selected.push(name.to_string());
         }
-    }
-    // Asking for collapsed stacks is asking for the profiler.
-    if profile_out.is_some() {
-        profile = true;
-    }
-    let jobs = resolve_jobs(jobs_arg);
-    // CLI beats environment beats the serial default; 0 = one per core.
-    let partitions = partitions_arg
-        .or_else(|| env::var("NOW_PARTITIONS").ok().and_then(|s| s.parse().ok()))
-        .unwrap_or(1);
-
-    // The wall-time harness replaces the reports: time the heavy sweeps
-    // serial vs parallel, write the trajectory entries, and exit.
-    if let Some(path) = bench_out {
-        let entries = run_bench_harness(smoke, jobs);
-        let partitioned = run_partition_harness();
-        let distribute = now_bench::distribute_summary(true);
-        let batching = now_bench::am_batching_summary();
-        if let Err(e) = std::fs::write(
-            &path,
-            render_bench_json(&entries, &partitioned, &distribute, &batching),
-        ) {
-            eprintln!("cannot write bench results to {path}: {e}");
-            exit(1);
+        // Scenarios select bare (`repro table4`) or flag-style
+        // (`repro --table4`); anything else is a typo and dies loudly
+        // rather than silently running the whole suite.
+        let name = arg.trim_start_matches("--");
+        let known = SCENARIOS.iter().any(|(s, _)| *s == name) || SCENARIO_ALIASES.contains(&name);
+        if !known {
+            let kind = if arg.starts_with('-') {
+                "flag"
+            } else {
+                "scenario"
+            };
+            eprintln!("unknown {kind} {arg:?}\n\n{}", usage());
+            exit(2);
         }
-        for e in &entries {
-            eprintln!(
-                "{}: serial {:.0} ms, parallel {:.0} ms at {} jobs ({:.2}x)",
-                e.bench,
-                e.serial_ms,
-                e.parallel_ms,
-                e.jobs,
-                e.speedup()
-            );
-        }
-        eprintln!(
-            "{}: serial {:.0} ms, partitioned {:.0} ms at {} partitions ({:.2}x single-run)",
-            partitioned.bench,
-            partitioned.serial_ms,
-            partitioned.partitioned_ms,
-            partitioned.partitions,
-            partitioned.single_run_speedup()
-        );
-        eprintln!(
-            "distribute_smoke: registry {:.1} ms, cooperative {:.1} ms, dedup {:.2}x, \
-             crossover at {} nodes",
-            distribute.registry_ms,
-            distribute.cooperative_ms,
-            distribute.dedup_factor,
-            distribute.crossover_nodes
-        );
-        eprintln!(
-            "am_batching: {:.0} -> {:.0} msgs/s at mean batch {:.1} ({:.2}x)",
-            batching.unbatched_msgs_per_s,
-            batching.batched_msgs_per_s,
-            batching.batch_size,
-            batching.rate_gain
-        );
-        eprintln!("wrote bench trajectory to {path}");
-        return;
-    }
+        selected.push(name.to_string());
+    });
+    // Asking for collapsed stacks is asking for the profiler; the flight
+    // recorder runs only when its output has somewhere to go.
+    cli.report.profile |= cli.profile_out.is_some();
+    cli.report.record = cli.timeseries_out.is_some();
 
     let all = selected.is_empty();
     let want = |name: &str| all || selected.iter().any(|s| s == name);
 
     // Probing is on whenever any telemetry output was requested; otherwise
     // every subsystem sees a disabled (free) probe.
-    let registry = (metrics.is_some() || metrics_out.is_some() || trace_out.is_some() || util)
-        .then(Registry::new);
+    let registry =
+        (cli.metrics.is_some() || cli.metrics_out.is_some() || cli.trace_out.is_some() || cli.util)
+            .then(Registry::new);
     let probe = registry
         .as_ref()
         .map_or_else(Probe::disabled, Registry::probe);
-
-    let report = now_bench::Report {
-        smoke,
-        blame,
-        // The flight recorder runs only when its output has somewhere to go.
-        record: timeseries_out.is_some(),
-        profile,
-        probe: probe.clone(),
-        jobs,
-        nodes,
-        partitions,
-        am_batch_us: am_batch,
-    };
+    cli.report.probe = probe.clone();
+    let report = &cli.report;
     let mut series: Vec<(String, TimeSeries)> = Vec::new();
     let mut windowed: Vec<(String, WindowedSeries)> = Vec::new();
     // Host-time profiles from every profiled report, merged by label.
@@ -444,7 +568,7 @@ fn main() {
         println!("{}", now_bench::figure2(&probe));
     }
     if want("table3") {
-        println!("{}", now_bench::table3(!fast, &probe));
+        println!("{}", now_bench::table3(!cli.fast, &probe));
     }
     if want("table4") {
         println!("{}", now_bench::table4());
@@ -465,7 +589,7 @@ fn main() {
         println!("{}", now_bench::restore_study());
     }
     if want("contention") {
-        show(now_bench::contention(&report));
+        show(now_bench::contention(report));
         // The message-rate-vs-batch-quantum deliverable rides with the
         // contention report. It sweeps its own quanta internally, so the
         // table is identical whatever --am-batch (or any other flag)
@@ -473,25 +597,25 @@ fn main() {
         println!("{}", now_bench::am_batching_table());
     }
     if want("availability") {
-        show(now_bench::availability(&report));
+        show(now_bench::availability(report));
     }
     // The serving sweep is opt-in like the ablations: it is the unified
     // engine's population-scale story, not a paper table.
     if selected.iter().any(|s| s == "serve") {
-        show(now_bench::serve(&report));
+        show(now_bench::serve(report));
     }
     // Image distribution is likewise opt-in: cold-starting the cluster
     // from a content-addressed registry, registry-only vs cooperative.
     if selected.iter().any(|s| s == "distribute") {
-        show(now_bench::distribute(&report));
+        show(now_bench::distribute(report));
     }
     // Ablations are opt-in: they are design-choice sweeps, not paper
     // artifacts.
     if selected.iter().any(|s| s == "ablations") {
-        println!("{}", now_bench::ablations::all(jobs));
+        println!("{}", now_bench::ablations::all(report.jobs));
     }
 
-    if let Some(path) = timeseries_out {
+    if let Some(path) = cli.timeseries_out {
         if series.is_empty() && windowed.is_empty() {
             eprintln!(
                 "--timeseries-out produced no samples: only the contention, \
@@ -508,33 +632,34 @@ fn main() {
                      rerun with only the serve report for the windowed CSV"
                 );
             }
-            if path.ends_with(".json") {
+            let merged = if path.ends_with(".json") {
                 json_concat(&series)
             } else {
                 csv_concat(&series)
-            }
+            };
+            merged.unwrap_or_else(|e| {
+                eprintln!(
+                    "cannot write time series to {path}: {e}; \
+                     record those reports in separate runs"
+                );
+                exit(2);
+            })
         } else {
             if path.ends_with(".json") {
                 eprintln!("windowed serve series export CSV; writing CSV to {path}");
             }
             windowed_csv_concat(&windowed)
         };
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("cannot write time series to {path}: {e}");
-            exit(1);
-        }
+        write_or_exit(&path, body, "time series");
         eprintln!("wrote gauge time series to {path}");
     }
 
-    if profile {
+    if report.profile {
         match &host_profile {
             Some(p) => {
                 println!("{}", p.render_text());
-                if let Some(path) = profile_out {
-                    if let Err(e) = std::fs::write(&path, p.collapsed()) {
-                        eprintln!("cannot write collapsed stacks to {path}: {e}");
-                        exit(1);
-                    }
+                if let Some(path) = cli.profile_out {
+                    write_or_exit(&path, p.collapsed(), "collapsed stacks");
                     eprintln!("wrote collapsed stacks to {path} (feed to a flamegraph tool)");
                 }
             }
@@ -547,20 +672,13 @@ fn main() {
     }
 
     if let Some(registry) = registry {
-        if let Some(format) = metrics {
-            match format.as_str() {
-                "text" => println!("{}", registry.render_text()),
-                "csv" => print!("{}", registry.render_csv()),
-                "json" => println!("{}", registry.render_json()),
-                other => {
-                    // Unreachable from the CLI (parsing validates), but
-                    // never fall through silently.
-                    eprintln!("unknown metrics format {other:?} (want text, csv, or json)");
-                    println!("{}", registry.render_text());
-                }
-            }
+        match cli.metrics {
+            Some(Metrics::Text) => println!("{}", registry.render_text()),
+            Some(Metrics::Csv) => print!("{}", registry.render_csv()),
+            Some(Metrics::Json) => println!("{}", registry.render_json()),
+            None => {}
         }
-        if util {
+        if cli.util {
             let snapshot = registry.snapshot();
             if snapshot.utils.is_empty() {
                 eprintln!(
@@ -572,20 +690,14 @@ fn main() {
                 println!("{}", render_bottlenecks(&bottlenecks(&snapshot.utils)));
             }
         }
-        if let Some(path) = metrics_out {
+        if let Some(path) = cli.metrics_out {
             let mut body = registry.render_json();
             body.push('\n');
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("cannot write metrics snapshot to {path}: {e}");
-                exit(1);
-            }
+            write_or_exit(&path, body, "metrics snapshot");
             eprintln!("wrote metrics snapshot to {path} (compare runs with repro diff)");
         }
-        if let Some(path) = trace_out {
-            if let Err(e) = std::fs::write(&path, registry.chrome_trace()) {
-                eprintln!("cannot write trace to {path}: {e}");
-                exit(1);
-            }
+        if let Some(path) = cli.trace_out {
+            write_or_exit(&path, registry.chrome_trace(), "trace");
             eprintln!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
         }
         // Silent data loss would undermine every export above; say so.
@@ -606,221 +718,4 @@ fn main() {
             }
         }
     }
-}
-
-/// One wall-time measurement of a heavy sweep, serial vs parallel.
-struct BenchEntry {
-    bench: &'static str,
-    serial_ms: f64,
-    parallel_ms: f64,
-    jobs: usize,
-}
-
-impl BenchEntry {
-    fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One wall-time measurement of a *single* scaled run, serial vs sharded
-/// over engine partitions — parallelism inside one simulation, where
-/// `--jobs` cannot help.
-struct PartitionedBenchEntry {
-    bench: &'static str,
-    serial_ms: f64,
-    partitioned_ms: f64,
-    partitions: u32,
-}
-
-impl PartitionedBenchEntry {
-    fn single_run_speedup(&self) -> f64 {
-        if self.partitioned_ms > 0.0 {
-            self.serial_ms / self.partitioned_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-fn time_ms(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Times the availability Monte-Carlo and the contention sweep at one
-/// worker and at `jobs` workers. Each pair also cross-checks what the
-/// parallel layer promises: identical output, faster wall clock.
-///
-/// At `--jobs 1` the "parallel" leg would be the serial leg rerun under
-/// a different label — same code path, same thread — so it is skipped
-/// and the serial time reported for both columns (speedup 1.0 by
-/// construction). That halves harness wall time on 1-core containers,
-/// where fan-out has no parallelism to find anyway.
-fn run_bench_harness(smoke: bool, jobs: usize) -> Vec<BenchEntry> {
-    use now_raid::availability::FailureModel;
-
-    let model = FailureModel::paper_defaults();
-    let trials: u64 = 2_000;
-    let mut serial_mc = 0.0;
-    let serial_mc_ms = time_ms(|| {
-        serial_mc = now_fault::montecarlo::software_service_mttf_hours(
-            &model,
-            8,
-            trials,
-            now_bench::SEED,
-            1,
-        );
-    });
-    let parallel_mc_ms = if jobs == 1 {
-        serial_mc_ms
-    } else {
-        let mut parallel_mc = 0.0;
-        let ms = time_ms(|| {
-            parallel_mc = now_fault::montecarlo::software_service_mttf_hours(
-                &model,
-                8,
-                trials,
-                now_bench::SEED,
-                jobs,
-            );
-        });
-        assert_eq!(
-            serial_mc.to_bits(),
-            parallel_mc.to_bits(),
-            "parallel Monte-Carlo must match serial bit-for-bit"
-        );
-        ms
-    };
-
-    // Reports at `smoke` with only the worker count varying.
-    let at = |smoke: bool, jobs: usize| now_bench::Report {
-        smoke,
-        jobs,
-        ..now_bench::Report::default()
-    };
-    let mut serial_table = String::new();
-    let serial_sweep_ms = time_ms(|| serial_table = now_bench::contention(&at(smoke, 1)).text);
-    let parallel_sweep_ms = if jobs == 1 {
-        serial_sweep_ms
-    } else {
-        let mut parallel_table = String::new();
-        let ms = time_ms(|| parallel_table = now_bench::contention(&at(smoke, jobs)).text);
-        assert_eq!(
-            serial_table, parallel_table,
-            "parallel contention sweep must match serial byte-for-byte"
-        );
-        ms
-    };
-
-    let mut serial_serve = String::new();
-    let serial_serve_ms = time_ms(|| serial_serve = now_bench::serve(&at(true, 1)).text);
-    let parallel_serve_ms = if jobs == 1 {
-        serial_serve_ms
-    } else {
-        let mut parallel_serve = String::new();
-        let ms = time_ms(|| parallel_serve = now_bench::serve(&at(true, jobs)).text);
-        assert_eq!(
-            serial_serve, parallel_serve,
-            "parallel serve sweep must match serial byte-for-byte"
-        );
-        ms
-    };
-
-    vec![
-        BenchEntry {
-            bench: "availability_mc_2000",
-            serial_ms: serial_mc_ms,
-            parallel_ms: parallel_mc_ms,
-            jobs,
-        },
-        BenchEntry {
-            bench: "contention_sweep",
-            serial_ms: serial_sweep_ms,
-            parallel_ms: parallel_sweep_ms,
-            jobs,
-        },
-        BenchEntry {
-            bench: "serve_smoke",
-            serial_ms: serial_serve_ms,
-            parallel_ms: parallel_serve_ms,
-            jobs,
-        },
-    ]
-}
-
-/// Times one 256-node contention run (8 cells, 8 background flows each)
-/// serial and sharded over 4 engine partitions, asserting the outcomes
-/// are identical — the partitioned engine's whole contract.
-fn run_partition_harness() -> PartitionedBenchEntry {
-    const NODES: u32 = 256;
-    const FLOWS: u32 = 8;
-    const PARTITIONS: u32 = 4;
-    let mut serial = None;
-    let mut partitioned = None;
-    let serial_ms = time_ms(|| serial = Some(now_bench::contention_point(FLOWS, NODES, 1)));
-    let partitioned_ms =
-        time_ms(|| partitioned = Some(now_bench::contention_point(FLOWS, NODES, PARTITIONS)));
-    assert_eq!(
-        serial, partitioned,
-        "the partitioned run must match the serial run exactly"
-    );
-    PartitionedBenchEntry {
-        bench: "contention_nodes256",
-        serial_ms,
-        partitioned_ms,
-        partitions: PARTITIONS,
-    }
-}
-
-fn render_bench_json(
-    entries: &[BenchEntry],
-    partitioned: &PartitionedBenchEntry,
-    distribute: &now_bench::DistributeSummary,
-    batching: &now_bench::AmBatchingSummary,
-) -> String {
-    let mut rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "  {{\"bench\": \"{}\", \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \
-                 \"jobs\": {}, \"speedup\": {:.3}}}",
-                e.bench,
-                e.serial_ms,
-                e.parallel_ms,
-                e.jobs,
-                e.speedup()
-            )
-        })
-        .collect();
-    rows.push(format!(
-        "  {{\"bench\": \"{}\", \"serial_ms\": {:.3}, \"partitioned_ms\": {:.3}, \
-         \"partitions\": {}, \"single_run_speedup\": {:.3}}}",
-        partitioned.bench,
-        partitioned.serial_ms,
-        partitioned.partitioned_ms,
-        partitioned.partitions,
-        partitioned.single_run_speedup()
-    ));
-    rows.push(format!(
-        "  {{\"bench\": \"distribute_smoke\", \"registry_ms\": {:.3}, \
-         \"cooperative_ms\": {:.3}, \"dedup_factor\": {:.3}, \"crossover_nodes\": {}}}",
-        distribute.registry_ms,
-        distribute.cooperative_ms,
-        distribute.dedup_factor,
-        distribute.crossover_nodes
-    ));
-    rows.push(format!(
-        "  {{\"bench\": \"am_batching\", \"unbatched_msgs_per_s\": {:.1}, \
-         \"batched_msgs_per_s\": {:.1}, \"batch_size\": {:.2}, \"rate_gain\": {:.3}}}",
-        batching.unbatched_msgs_per_s,
-        batching.batched_msgs_per_s,
-        batching.batch_size,
-        batching.rate_gain
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
 }

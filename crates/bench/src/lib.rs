@@ -606,26 +606,6 @@ pub fn contention_series(flows: &[u32], jobs: usize) -> Vec<(u32, ScenarioOutcom
     })
 }
 
-/// One scaled contention run: `nodes / 32` independent 32-node cells at
-/// `flows` background flows each, sharded over `partitions` engine
-/// partitions. The outcome is byte-identical at every `partitions` value;
-/// `repro --bench-out` times this at 1 vs 4 partitions to report the
-/// single-run speedup.
-///
-/// # Panics
-///
-/// Panics unless `nodes` is a positive multiple of 32.
-pub fn contention_point(flows: u32, nodes: u32, partitions: u32) -> ScenarioOutcome {
-    let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
-    cluster.run_scenario(&ScenarioSpec {
-        background_flows: flows,
-        seed: SEED,
-        cells: cells_in(nodes),
-        partitions,
-        ..ScenarioSpec::contention_default()
-    })
-}
-
 /// The flush quanta the message-rate sweep visits, in microseconds.
 /// 0 is the unbatched baseline every gain is measured against.
 const AM_BATCH_QUANTA: [u64; 6] = [0, 2, 4, 8, 16, 32];
@@ -683,48 +663,6 @@ pub fn am_batching_table() -> String {
         ]);
     }
     t.render()
-}
-
-/// The batching headline for `repro --bench-out`: unbatched vs batched
-/// message rate at the sweep's densest point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AmBatchingSummary {
-    /// Hot-spot message rate with batching off.
-    pub unbatched_msgs_per_s: f64,
-    /// Hot-spot message rate at the best swept quantum.
-    pub batched_msgs_per_s: f64,
-    /// Mean batch depth at that quantum.
-    pub batch_size: f64,
-    /// `batched / unbatched`.
-    pub rate_gain: f64,
-}
-
-/// Measures [`AmBatchingSummary`]: the unbatched baseline against the
-/// best point of the [`AM_BATCH_QUANTA`] sweep. Simulated-time rates,
-/// so the entry is deterministic run to run.
-pub fn am_batching_summary() -> AmBatchingSummary {
-    use now_net::presets;
-    let run = |q| {
-        now_am::batched_hotspot_rate(
-            presets::am_atm(8),
-            am_batch_config(),
-            q,
-            AM_BATCH_SENDERS,
-            AM_BATCH_PER_SENDER,
-        )
-    };
-    let base = run(0);
-    let best = AM_BATCH_QUANTA[1..]
-        .iter()
-        .map(|&q| run(q))
-        .max_by(|a, b| a.msgs_per_s.total_cmp(&b.msgs_per_s))
-        .expect("the sweep has batched points");
-    AmBatchingSummary {
-        unbatched_msgs_per_s: base.msgs_per_s,
-        batched_msgs_per_s: best.msgs_per_s,
-        batch_size: best.mean_batch,
-        rate_gain: best.msgs_per_s / base.msgs_per_s,
-    }
 }
 
 /// The availability experiment: Monte-Carlo failure simulation
@@ -1118,7 +1056,7 @@ fn distribute_sweep(smoke: bool, max_nodes: u32) -> Vec<u32> {
 
 /// Both strategies at every sweep point:
 /// `(fetchers, registry run, cooperative run)` in sweep order.
-type DistributePoint = (
+pub type DistributePoint = (
     u32,
     (DistributeOutcome, ScenarioObservations),
     (DistributeOutcome, ScenarioObservations),
@@ -1127,7 +1065,7 @@ type DistributePoint = (
 /// Runs the distribution sweep both ways. The whole of one run is a
 /// single causal trace (one root fans out to every fetcher), so blame
 /// sampling is all-or-nothing: every chain is recorded.
-fn distribute_points(report: &Report) -> Vec<DistributePoint> {
+pub fn distribute_points(report: &Report) -> Vec<DistributePoint> {
     // The sweep grows in whole 32-node cells, like every scaled report.
     cells_in(report.nodes);
     let sweep = distribute_sweep(report.smoke, report.nodes);
@@ -1261,39 +1199,6 @@ pub fn distribute(report: &Report) -> ObservedReport {
         series,
         windowed: Vec::new(),
         profile: merged_profile,
-    }
-}
-
-/// Headline numbers of the distribution sweep, for `--bench-out`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistributeSummary {
-    /// Registry-only makespan at the largest sweep point, in ms.
-    pub registry_ms: f64,
-    /// Cooperative makespan at the largest sweep point, in ms.
-    pub cooperative_ms: f64,
-    /// The catalog's dedup factor.
-    pub dedup_factor: f64,
-    /// First sweep point where cooperative beat registry (0 if never).
-    pub crossover_nodes: u32,
-}
-
-/// Runs the (smoke or full) sweep unobserved and extracts the headline
-/// numbers the bench JSON records.
-pub fn distribute_summary(smoke: bool) -> DistributeSummary {
-    let points = distribute_points(&Report {
-        smoke,
-        ..Report::default()
-    });
-    let crossover = points
-        .iter()
-        .find(|(_, (reg, _), (coop, _))| coop.makespan_ms() < reg.makespan_ms())
-        .map_or(0, |(f, _, _)| *f);
-    let (_, (reg, _), (coop, _)) = points.last().expect("sweep is never empty");
-    DistributeSummary {
-        registry_ms: reg.makespan_ms(),
-        cooperative_ms: coop.makespan_ms(),
-        dedup_factor: reg.dedup_factor,
-        crossover_nodes: crossover,
     }
 }
 
@@ -1453,14 +1358,22 @@ mod tests {
             last_coop.makespan_ms(),
             last_reg.makespan_ms()
         );
-        let summary = distribute_summary(true);
+        let (crossover, _, _) = points
+            .iter()
+            .find(|(_, (reg, _), (coop, _))| coop.makespan_ms() < reg.makespan_ms())
+            .expect("the crossover lands inside the sweep");
         assert!(
-            summary.crossover_nodes > 0 && summary.crossover_nodes <= *last,
-            "crossover must land inside the sweep: {summary:?}"
+            last_reg.dedup_factor > 1.5,
+            "catalog must dedup: {:.2}x",
+            last_reg.dedup_factor
         );
+        // The report prints the crossover these points imply.
+        let report = distribute(&smoke()).text;
         assert!(
-            summary.dedup_factor > 1.5,
-            "catalog must dedup: {summary:?}"
+            report.contains(&format!(
+                "Crossover: cooperative fetch wins from {crossover} nodes"
+            )),
+            "report and sweep disagree on the crossover ({crossover} nodes):\n{report}"
         );
     }
 

@@ -51,29 +51,36 @@ fn distribute_blame_tables_are_deterministic() {
 
 #[test]
 fn distribute_summary_matches_the_report_and_crosses_over() {
-    let summary = now_bench::distribute_summary(true);
-    assert!(
-        summary.crossover_nodes > 0,
-        "cooperative fetch must win somewhere in the sweep: {summary:?}"
-    );
-    assert!(
-        summary.cooperative_ms < summary.registry_ms,
-        "at the largest point cooperative must be ahead: {summary:?}"
-    );
-    assert!(
-        summary.dedup_factor > 1.0,
-        "catalog must dedup: {summary:?}"
-    );
-    let report = now_bench::distribute(&Report {
+    let smoke = Report {
         smoke: true,
         ..Report::default()
-    })
-    .text;
+    };
+    let points = now_bench::distribute_points(&smoke);
+    let crossover = points
+        .iter()
+        .find(|(_, (reg, _), (coop, _))| coop.makespan_ms() < reg.makespan_ms())
+        .map_or(0, |(f, _, _)| *f);
+    assert!(
+        crossover > 0,
+        "cooperative fetch must win somewhere in the sweep"
+    );
+    let (_, (reg, _), (coop, _)) = points.last().expect("sweep is never empty");
+    assert!(
+        coop.makespan_ms() < reg.makespan_ms(),
+        "at the largest point cooperative must be ahead: {:.3} ms vs {:.3} ms",
+        coop.makespan_ms(),
+        reg.makespan_ms()
+    );
+    assert!(
+        reg.dedup_factor > 1.0,
+        "catalog must dedup: {:.2}x",
+        reg.dedup_factor
+    );
+    let report = now_bench::distribute(&smoke).text;
     assert!(
         report.contains(&format!(
-            "Crossover: cooperative fetch wins from {} nodes",
-            summary.crossover_nodes
+            "Crossover: cooperative fetch wins from {crossover} nodes"
         )),
-        "summary and report disagree on the crossover:\n{report}\n{summary:?}"
+        "sweep and report disagree on the crossover ({crossover} nodes):\n{report}"
     );
 }

@@ -91,8 +91,8 @@ fn observed_contention_is_deterministic() {
     let b = now_bench::contention(&observed);
     assert_eq!(a.text, b.text, "blame tables must be byte-identical");
     assert_eq!(
-        csv_concat(&a.series),
-        csv_concat(&b.series),
+        csv_concat(&a.series).unwrap(),
+        csv_concat(&b.series).unwrap(),
         "flight-recorder CSV must be byte-identical"
     );
     assert!(!a.series.is_empty(), "recording must produce series");

@@ -1,6 +1,8 @@
 //! End-to-end checks on the observatory surface: the Chrome trace export
-//! parses as JSON with monotone timestamps, and the `repro diff`
-//! regression gate catches an injected regression with a nonzero exit.
+//! parses as JSON with monotone timestamps, the `repro diff` regression
+//! gate catches an injected regression with a nonzero exit, and `repro`
+//! answers bad flags, bad environment values and unmergeable outputs with
+//! exit code 2 and a message.
 
 use std::process::Command;
 
@@ -133,4 +135,197 @@ fn repro_diff_usage_errors_exit_two() {
         .output()
         .expect("repro diff runs");
     assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
+}
+
+/// Every flag `repro --help` must list.
+const HELP_FLAGS: &[&str] = &[
+    "--fast",
+    "--smoke",
+    "--blame",
+    "--jobs N",
+    "--partitions N",
+    "--nodes N",
+    "--am-batch N",
+    "--metrics[=FMT]",
+    "--metrics-out PATH",
+    "--util",
+    "--profile",
+    "--profile-out PATH",
+    "--trace-out PATH",
+    "--timeseries-out PATH",
+    "--help",
+    "--threshold X",
+    "--ignore SUBSTR",
+];
+
+/// Every scenario `repro --help` must list.
+const HELP_SCENARIOS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "nfs",
+    "comm",
+    "restore",
+    "contention",
+    "availability",
+    "serve",
+    "distribute",
+    "ablations",
+];
+
+/// One CLI contract case: (args, environment, exit code, stderr substring).
+type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)], i32, &'a str);
+
+#[test]
+fn repro_cli_contract_holds() {
+    let mismatch = std::env::temp_dir().join("now_cli_mismatched_series.csv");
+    let mismatch = mismatch.to_str().expect("utf-8 temp dir");
+    // Only the time-series case runs reports; every other case stops at
+    // parsing.
+    let cases: &[Case] = &[
+        (&["--bogus"], &[], 2, "unknown flag \"--bogus\""),
+        (&["tabel9"], &[], 2, "unknown scenario \"tabel9\""),
+        (
+            &["--jobs", "0"],
+            &[],
+            2,
+            "--jobs needs a positive worker count",
+        ),
+        (&["--jobs"], &[], 2, "--jobs needs a positive worker count"),
+        (
+            &["--jobs=x"],
+            &[],
+            2,
+            "--jobs needs a positive worker count, got \"x\"",
+        ),
+        (
+            &["--nodes", "33"],
+            &[],
+            2,
+            "--nodes needs a positive multiple of 32",
+        ),
+        (
+            &["--partitions", "x"],
+            &[],
+            2,
+            "--partitions needs a partition count (0 = one per core)",
+        ),
+        (
+            &["--am-batch=-1"],
+            &[],
+            2,
+            "--am-batch needs a flush quantum in microseconds, got \"-1\"",
+        ),
+        (
+            &["--metrics=xml"],
+            &[],
+            2,
+            "unknown metrics format \"xml\" (want text, csv, or json)",
+        ),
+        (
+            &["--metrics-out"],
+            &[],
+            2,
+            "--metrics-out needs a file path",
+        ),
+        (
+            &["--profile-out"],
+            &[],
+            2,
+            "--profile-out needs a file path",
+        ),
+        (&["--trace-out"], &[], 2, "--trace-out needs a file path"),
+        (
+            &["--timeseries-out"],
+            &[],
+            2,
+            "--timeseries-out needs a file path",
+        ),
+        (
+            &["--bench-out", "b.json"],
+            &[],
+            2,
+            "unknown flag \"--bench-out\"",
+        ),
+        (
+            &["table1"],
+            &[("NOW_JOBS", "0")],
+            2,
+            "NOW_JOBS needs a positive worker count, got \"0\"",
+        ),
+        (
+            &["table1"],
+            &[("NOW_JOBS", "abc")],
+            2,
+            "NOW_JOBS needs a positive worker count, got \"abc\"",
+        ),
+        (
+            &["table1"],
+            &[("NOW_PARTITIONS", "abc")],
+            2,
+            "NOW_PARTITIONS needs a partition count, got \"abc\"",
+        ),
+        // The flag wins, so its variable is never read.
+        (&["table1", "--jobs", "2"], &[("NOW_JOBS", "abc")], 0, ""),
+        (
+            &[
+                "contention",
+                "distribute",
+                "--smoke",
+                "--timeseries-out",
+                mismatch,
+            ],
+            &[],
+            2,
+            "records different gauge columns than series \"flows=0\"",
+        ),
+        (
+            &["diff", "one.json"],
+            &[],
+            2,
+            "repro diff needs exactly two snapshot paths",
+        ),
+        (
+            &["diff", "a.json", "b.json", "--threshold=-1"],
+            &[],
+            2,
+            "--threshold needs a non-negative relative delta, got \"-1\"",
+        ),
+        (&["--help"], &[], 0, ""),
+        (&["diff", "--help"], &[], 0, ""),
+    ];
+    for &(args, env, code, stderr) in cases {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.args(args)
+            .env_remove("NOW_JOBS")
+            .env_remove("NOW_PARTITIONS");
+        for &(key, value) in env {
+            cmd.env(key, value);
+        }
+        let out = cmd.output().expect("repro runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{args:?} with {env:?}: stderr\n{err}"
+        );
+        assert!(
+            err.contains(stderr),
+            "{args:?} with {env:?}: stderr lacks {stderr:?}:\n{err}"
+        );
+        if args.contains(&"--help") {
+            let help = String::from_utf8_lossy(&out.stdout);
+            for item in HELP_FLAGS.iter().chain(HELP_SCENARIOS) {
+                assert!(
+                    help.lines().any(|l| l.trim_start().starts_with(item)),
+                    "{args:?} does not list {item}:\n{help}"
+                );
+            }
+        }
+    }
 }

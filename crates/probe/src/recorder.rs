@@ -6,7 +6,10 @@
 //! frames) every few simulated milliseconds. The samples land here as a
 //! [`TimeSeries`]; [`csv_concat`] / [`json_concat`] merge the series of
 //! several runs (e.g. one per background-load point) into a single
-//! labelled file.
+//! labelled file, or refuse with a [`ColumnMismatch`] when the runs
+//! recorded different gauges.
+
+use std::fmt;
 
 use now_sim::SimTime;
 
@@ -99,14 +102,33 @@ impl TimeSeries {
     }
 }
 
+/// Two series of one batch recorded different gauge columns, so they
+/// cannot share one table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnMismatch {
+    /// Label of the batch's first series, whose columns head the table.
+    pub first: String,
+    /// Label of the first series whose columns differ from it.
+    pub other: String,
+}
+
+impl fmt::Display for ColumnMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "series {:?} records different gauge columns than series {:?}",
+            self.other, self.first
+        )
+    }
+}
+
+impl std::error::Error for ColumnMismatch {}
+
 /// Merges several labelled series into one CSV with a leading `series`
-/// column: `series,t_us,<columns>`.
-///
-/// # Panics
-///
-/// Panics if the series disagree on their column lists.
-pub fn csv_concat(series: &[(String, TimeSeries)]) -> String {
-    let columns = common_columns(series);
+/// column: `series,t_us,<columns>`. Fails if the series disagree on
+/// their column lists.
+pub fn csv_concat(series: &[(String, TimeSeries)]) -> Result<String, ColumnMismatch> {
+    let columns = common_columns(series)?;
     let mut out = String::from("series,t_us");
     for c in columns {
         out.push(',');
@@ -123,17 +145,14 @@ pub fn csv_concat(series: &[(String, TimeSeries)]) -> String {
             out.push('\n');
         }
     }
-    out
+    Ok(out)
 }
 
 /// Merges several labelled series into one JSON document:
 /// `{"columns": [...], "series": {"<label>": [{"t_us": ..., "values": [...]}]}}`.
-///
-/// # Panics
-///
-/// Panics if the series disagree on their column lists.
-pub fn json_concat(series: &[(String, TimeSeries)]) -> String {
-    let columns = common_columns(series);
+/// Fails if the series disagree on their column lists.
+pub fn json_concat(series: &[(String, TimeSeries)]) -> Result<String, ColumnMismatch> {
+    let columns = common_columns(series)?;
     let mut out = String::from("{\n  \"columns\": [");
     for (i, c) in columns.iter().enumerate() {
         if i > 0 {
@@ -161,21 +180,21 @@ pub fn json_concat(series: &[(String, TimeSeries)]) -> String {
         out.push_str("\n    ]");
     }
     out.push_str("\n  }\n}\n");
-    out
+    Ok(out)
 }
 
 /// The shared column list of a batch of series (empty batch: no columns).
-fn common_columns(series: &[(String, TimeSeries)]) -> &[String] {
-    let Some((_, first)) = series.first() else {
-        return &[];
+fn common_columns(series: &[(String, TimeSeries)]) -> Result<&[String], ColumnMismatch> {
+    let Some((first_label, first)) = series.first() else {
+        return Ok(&[]);
     };
-    for (label, ts) in series {
-        assert_eq!(
-            ts.columns, first.columns,
-            "series {label:?} has a different column list"
-        );
+    match series.iter().find(|(_, ts)| ts.columns != first.columns) {
+        Some((label, _)) => Err(ColumnMismatch {
+            first: first_label.clone(),
+            other: label.clone(),
+        }),
+        None => Ok(&first.columns),
     }
-    &first.columns
 }
 
 /// Per-column summary of one downsampled window.
@@ -433,21 +452,35 @@ mod tests {
     #[test]
     fn concat_labels_every_row() {
         let batch = vec![("x=0".to_string(), sample()), ("x=1".to_string(), sample())];
-        let csv = csv_concat(&batch);
+        let csv = csv_concat(&batch).unwrap();
         assert_eq!(csv.lines().next().unwrap(), "series,t_us,a,b");
         assert_eq!(csv.lines().filter(|l| l.starts_with("x=0,")).count(), 2);
         assert_eq!(csv.lines().filter(|l| l.starts_with("x=1,")).count(), 2);
-        let json = json_concat(&batch);
+        let json = json_concat(&batch).unwrap();
         assert!(json.contains("\"x=0\""));
         assert!(json.contains("\"t_us\": 50"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
-    #[should_panic(expected = "different column list")]
     fn concat_rejects_mismatched_columns() {
         let other = TimeSeries::new(vec!["z".into()]);
-        csv_concat(&[("a".into(), sample()), ("b".into(), other)]);
+        let batch = [
+            ("a".into(), sample()),
+            ("b".into(), sample()),
+            ("c".into(), other),
+        ];
+        let mismatch = ColumnMismatch {
+            first: "a".into(),
+            other: "c".into(),
+        };
+        assert_eq!(csv_concat(&batch), Err(mismatch.clone()));
+        assert_eq!(json_concat(&batch), Err(mismatch.clone()));
+        let message = mismatch.to_string();
+        assert!(
+            message.contains("\"a\"") && message.contains("\"c\""),
+            "the error names both series: {message}"
+        );
     }
 
     #[test]
@@ -455,7 +488,7 @@ mod tests {
         // Regression: labels containing CSV metacharacters used to be
         // emitted raw, shifting every subsequent column in the row.
         let batch = vec![(r#"pop=1,000 "full""#.to_string(), sample())];
-        let csv = csv_concat(&batch);
+        let csv = csv_concat(&batch).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "series,t_us,a,b");
         assert_eq!(lines[1], r#""pop=1,000 ""full""",0,1,2"#);
@@ -487,7 +520,7 @@ mod tests {
     fn plain_labels_render_unchanged() {
         // The goldens depend on pre-escaping output for ordinary labels.
         let batch = vec![("flows=0".to_string(), sample())];
-        let csv = csv_concat(&batch);
+        let csv = csv_concat(&batch).unwrap();
         assert!(csv.lines().nth(1).unwrap().starts_with("flows=0,"));
     }
 

@@ -17,10 +17,9 @@
 //!   shared slice. Determinism is then a theorem, not a hope: the value
 //!   of result `i` is a pure function of `items[i]`.
 //!
-//! The worker count comes from the caller, usually via [`resolve_jobs`]:
-//! an explicit `--jobs N` wins, then the `NOW_JOBS` environment variable,
-//! then the machine's available parallelism. `jobs = 1` is exactly the
-//! legacy serial loop — no threads are spawned at all.
+//! The worker count comes from the caller; this module never reads the
+//! environment. `jobs = 1` is exactly the legacy serial loop — no threads
+//! are spawned at all.
 //!
 //! # Example
 //!
@@ -32,33 +31,6 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The machine's available parallelism (1 if it cannot be determined).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// The worker count requested through the `NOW_JOBS` environment
-/// variable, if set to a positive integer.
-pub fn jobs_from_env() -> Option<usize> {
-    std::env::var("NOW_JOBS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&jobs| jobs >= 1)
-}
-
-/// Resolves a worker count: an explicit request (e.g. a `--jobs` flag)
-/// wins, then `NOW_JOBS`, then [`default_jobs`]. Never returns 0.
-pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    explicit
-        .filter(|&jobs| jobs >= 1)
-        .or_else(jobs_from_env)
-        .unwrap_or_else(default_jobs)
-}
 
 /// Runs `f(i, &items[i])` for every item, fanning the work out over up to
 /// `jobs` scoped threads, and returns the results **in input order**.
@@ -158,13 +130,6 @@ mod tests {
     #[test]
     fn zero_jobs_is_treated_as_serial() {
         assert_eq!(run_indexed(0, &[1, 2, 3], |_, x| x * 2), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn resolve_jobs_prefers_explicit_over_default() {
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(None) >= 1);
-        assert!(resolve_jobs(Some(0)) >= 1, "0 falls through to a default");
     }
 
     #[test]

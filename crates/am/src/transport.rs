@@ -3,29 +3,20 @@
 //! The simulation engine ([`now_sim::Engine`]) charges remote traffic
 //! through the [`Transport`] trait. These implementations close the loop
 //! with the `now-net` crate: every transfer runs through a real fabric
-//! model — occupancy, queue wait, and (for [`CsmaTransport`]) CSMA/CD
-//! collisions — so components that share one transport contend with each
-//! other exactly as the paper argues NOW subsystems must.
+//! model — occupancy and queue wait — so components that share one
+//! transport contend with each other exactly as the paper argues NOW
+//! subsystems must.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
-use now_net::{CsmaBus, Fabric, Network, NicAttachment, NodeId, SoftwareCosts};
+use now_net::{Network, NodeId};
 use now_probe::Probe;
 use now_sim::{SimDuration, SimTime, TransferCost, Transport};
 
 use crate::layer::BatchConfig;
 
-/// A [`Transport`] that charges every transfer against one shared
-/// [`Network`] — fabric occupancy, software stack, and NIC overhead
-/// included.
-///
-/// The network lives behind an `Arc<Mutex<_>>` so several observers (for
-/// example a benchmark harness sampling probe counters) can hold the same
-/// occupancy state the engine is charging against. Each engine drives its
-/// transport from one thread at a time — partitioned runs move whole
-/// engines between threads rather than sharing one — so the lock is
-/// uncontended; it exists to satisfy the `Transport: Send` bound.
+/// A [`Transport`] that charges every transfer against the [`Network`] it
+/// owns — fabric occupancy, software stack, and NIC overhead included.
 ///
 /// # Example
 ///
@@ -42,26 +33,13 @@ use crate::layer::BatchConfig;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FabricTransport {
-    net: Arc<Mutex<Network>>,
+    net: Network,
 }
 
 impl FabricTransport {
     /// Wraps a network in a transport, taking sole ownership.
     pub fn new(net: Network) -> Self {
-        FabricTransport {
-            net: Arc::new(Mutex::new(net)),
-        }
-    }
-
-    /// Wraps an already-shared network handle, so the caller can keep
-    /// observing (or probing) the same occupancy state the engine charges.
-    pub fn shared(net: Arc<Mutex<Network>>) -> Self {
         FabricTransport { net }
-    }
-
-    /// The shared network handle.
-    pub fn handle(&self) -> Arc<Mutex<Network>> {
-        self.net.clone()
     }
 }
 
@@ -74,72 +52,12 @@ impl Transport for FabricTransport {
         if src == dst {
             return TransferCost::free(now); // local copy: the fabric is not involved
         }
-        let out = self
-            .net
-            .lock()
-            .unwrap()
-            .transfer(NodeId(src), NodeId(dst), bytes, now);
+        let out = self.net.transfer(NodeId(src), NodeId(dst), bytes, now);
         TransferCost {
             delivered: out.delivered_at,
             overhead: out.send_cpu + out.recv_cpu,
             wait: out.wire_start.saturating_since(now + out.send_cpu),
             wire: out.wire_done_at.saturating_since(out.wire_start),
-        }
-    }
-}
-
-/// A [`Transport`] over a raw CSMA/CD Ethernet bus: the baseline NOW's
-/// shared medium, where arbitration and collisions — not just
-/// serialisation — eat the budget as stations contend.
-///
-/// Software stack and NIC costs are charged around the wire exactly as
-/// [`Network::transfer`] charges them, so the two transports differ only
-/// in the fabric model.
-#[derive(Debug, Clone)]
-pub struct CsmaTransport {
-    bus: CsmaBus,
-    stack: SoftwareCosts,
-    nic: NicAttachment,
-}
-
-impl CsmaTransport {
-    /// Builds a transport over classic 10-Mbps Ethernet with the given
-    /// software stack and NIC attachment.
-    pub fn new(bus: CsmaBus, stack: SoftwareCosts, nic: NicAttachment) -> Self {
-        CsmaTransport { bus, stack, nic }
-    }
-
-    /// Collisions burned on the bus so far.
-    pub fn collisions(&self) -> u64 {
-        self.bus.collisions()
-    }
-
-    /// Frames carried so far.
-    pub fn frames(&self) -> u64 {
-        self.bus.frames()
-    }
-}
-
-impl Transport for CsmaTransport {
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-        self.transfer_detailed(src, dst, bytes, now).delivered
-    }
-
-    fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
-        if src == dst {
-            return TransferCost::free(now);
-        }
-        let send_cpu = self.stack.send_cost(bytes) + self.nic.extra_overhead();
-        let recv_cpu = self.stack.recv_cost(bytes) + self.nic.extra_overhead();
-        let wire_request = now + send_cpu;
-        let timing = self
-            .bus
-            .transfer(NodeId(src), NodeId(dst), bytes, wire_request);
-        TransferCost {
-            delivered: timing.rx_done + recv_cpu,
-            overhead: send_cpu + recv_cpu,
-            wait: timing.tx_start.saturating_since(wire_request),
-            wire: timing.rx_done.saturating_since(timing.tx_start),
         }
     }
 }
@@ -200,11 +118,6 @@ impl<T> BatchingTransport<T> {
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// The wrapped transport, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
 }
 
 impl<T: Transport> Transport for BatchingTransport<T> {
@@ -246,7 +159,10 @@ impl<T: Transport> Transport for BatchingTransport<T> {
         if let Some(old) = self.windows.insert(
             (src, dst),
             Window {
-                open_until: now + self.config.flush_quantum,
+                // A quantum past the end of time keeps the window open.
+                open_until: now
+                    .checked_add(self.config.flush_quantum)
+                    .unwrap_or(SimTime::MAX),
                 msgs: 1,
                 bytes,
             },
@@ -281,36 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_handle_sees_the_engine_occupancy() {
-        let net = Arc::new(Mutex::new(presets::am_atm(8)));
-        let mut t = FabricTransport::shared(net.clone());
-        // Drive traffic through the transport, then observe contention
-        // through the retained handle: a later transfer queues behind it.
-        let first = t.transfer(0, 1, 1 << 20, SimTime::ZERO);
-        // Same destination link: the switched fabric must queue it.
-        let second = net
-            .lock()
-            .unwrap()
-            .transfer(NodeId(2), NodeId(1), 64, SimTime::ZERO)
-            .delivered_at;
-        assert!(first > SimTime::ZERO);
-        assert!(
-            second.saturating_since(SimTime::ZERO) > SimDuration::from_micros(100),
-            "the small message should queue behind the megabyte transfer"
-        );
-    }
-
-    #[test]
     fn local_transfers_are_free_on_both_transports() {
         let mut f = FabricTransport::new(presets::am_atm(4));
-        let mut c = CsmaTransport::new(
-            CsmaBus::ethernet_10(4, 1),
-            SoftwareCosts::tcp_kernel(),
-            NicAttachment::IoBus,
-        );
         let now = SimTime::from_micros(7);
         assert_eq!(Transport::transfer(&mut f, 2, 2, 1 << 20, now), now);
-        assert_eq!(Transport::transfer(&mut c, 2, 2, 1 << 20, now), now);
     }
 
     #[test]
@@ -331,30 +221,22 @@ mod tests {
             "contention must show up in the wait/wire terms, \
              not vanish from the breakdown"
         );
-
-        let mut c = CsmaTransport::new(
-            CsmaBus::ethernet_10(4, 1),
-            SoftwareCosts::tcp_kernel(),
-            NicAttachment::IoBus,
-        );
-        let cost = c.transfer_detailed(0, 1, 1_024, SimTime::ZERO);
-        assert_eq!(SimTime::ZERO + cost.total(), cost.delivered);
     }
 
     #[test]
-    fn csma_contention_grows_collisions() {
-        let mut t = CsmaTransport::new(
-            CsmaBus::ethernet_10(8, 11),
-            SoftwareCosts::am_hpam(),
-            NicAttachment::IoBus,
+    fn quantum_past_the_end_of_time_keeps_the_window_open() {
+        let config = BatchConfig {
+            flush_quantum: SimDuration::MAX,
+            ..BatchConfig::disabled()
+        };
+        let mut t = BatchingTransport::new(FabricTransport::new(presets::am_atm(4)), config);
+        let leader = t.transfer_detailed(0, 1, 64, SimTime::from_micros(5));
+        assert!(leader.overhead > SimDuration::ZERO);
+        let joiner = t.transfer_detailed(0, 1, 64, SimTime::from_secs(1));
+        assert_eq!(
+            joiner.overhead,
+            SimDuration::ZERO,
+            "the window never closed"
         );
-        let mut now = SimTime::ZERO;
-        for i in 0..500u32 {
-            // Offered essentially back-to-back: arbitration must kick in.
-            now += SimDuration::from_nanos(u64::from(i));
-            Transport::transfer(&mut t, i % 8, (i + 1) % 8, 200, now);
-        }
-        assert_eq!(t.frames(), 500);
-        assert!(t.collisions() > 0, "saturated CSMA must collide");
     }
 }

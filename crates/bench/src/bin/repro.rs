@@ -92,6 +92,10 @@ const SCENARIOS: &[(&str, &str)] = &[
     ("ablations", "design-choice sweeps (not in the paper)"),
 ];
 
+/// The reports that carry a flight recorder (what `--timeseries-out`
+/// writes).
+const RECORDED_SCENARIOS: [&str; 4] = ["contention", "availability", "serve", "distribute"];
+
 /// Aliases accepted for the figure scenarios (`figure1` for `fig1`, ...).
 const SCENARIO_ALIASES: &[&str] = &["figure1", "figure2", "figure3", "figure4"];
 
@@ -221,7 +225,12 @@ const FLAGS: &[Flag<Cli>] = &[
             need: "a flush quantum in microseconds",
             hint: " (0 = off)",
             env: None,
-            set: |c, s| store(&mut c.report.am_batch_us, s, |_| true),
+            // The quantum is kept in nanoseconds, so its ns form must fit.
+            set: |c, s| {
+                store(&mut c.report.am_batch_us, s, |us| {
+                    us.checked_mul(1_000).is_some()
+                })
+            },
         },
         help: "active-message flush quantum in us (0 = batching off)",
     },
@@ -529,6 +538,13 @@ fn main() {
 
     let all = selected.is_empty();
     let want = |name: &str| all || selected.iter().any(|s| s == name);
+    if cli.report.record && !RECORDED_SCENARIOS.iter().any(|s| want(s)) {
+        eprintln!(
+            "--timeseries-out needs a report with a flight recorder: \
+             contention, availability, serve, or distribute"
+        );
+        exit(2);
+    }
 
     // Probing is on whenever any telemetry output was requested; otherwise
     // every subsystem sees a disabled (free) probe.
@@ -616,12 +632,6 @@ fn main() {
     }
 
     if let Some(path) = cli.timeseries_out {
-        if series.is_empty() && windowed.is_empty() {
-            eprintln!(
-                "--timeseries-out produced no samples: only the contention, \
-                 availability, serve, and distribute reports carry a flight recorder"
-            );
-        }
         // The serving recorder is windowed (downsampled min/mean/max); it
         // exports as CSV only and lands in the same file when it is the
         // only recorded report.

@@ -185,8 +185,11 @@ type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)], i32, &'a str);
 fn repro_cli_contract_holds() {
     let mismatch = std::env::temp_dir().join("now_cli_mismatched_series.csv");
     let mismatch = mismatch.to_str().expect("utf-8 temp dir");
-    // Only the time-series case runs reports; every other case stops at
-    // parsing.
+    let unrecorded = std::env::temp_dir().join("now_cli_unrecorded_series.json");
+    let _ = std::fs::remove_file(&unrecorded);
+    let unrecorded_path = unrecorded.to_str().expect("utf-8 temp dir");
+    // Only the mismatched time-series case runs reports; every other case
+    // stops at parsing.
     let cases: &[Case] = &[
         (&["--bogus"], &[], 2, "unknown flag \"--bogus\""),
         (&["tabel9"], &[], 2, "unknown scenario \"tabel9\""),
@@ -220,6 +223,13 @@ fn repro_cli_contract_holds() {
             &[],
             2,
             "--am-batch needs a flush quantum in microseconds, got \"-1\"",
+        ),
+        // One more microsecond than a u64 of nanoseconds can hold.
+        (
+            &["contention", "--smoke", "--am-batch", "18446744073709552"],
+            &[],
+            2,
+            "--am-batch needs a flush quantum in microseconds",
         ),
         (
             &["--metrics=xml"],
@@ -272,6 +282,13 @@ fn repro_cli_contract_holds() {
         ),
         // The flag wins, so its variable is never read.
         (&["table1", "--jobs", "2"], &[("NOW_JOBS", "abc")], 0, ""),
+        (
+            &["table2", "--timeseries-out", unrecorded_path],
+            &[],
+            2,
+            "--timeseries-out needs a report with a flight recorder: \
+             contention, availability, serve, or distribute",
+        ),
         (
             &[
                 "contention",
@@ -328,4 +345,8 @@ fn repro_cli_contract_holds() {
             }
         }
     }
+    assert!(
+        !unrecorded.exists(),
+        "a refused --timeseries-out must not write its file"
+    );
 }

@@ -1,24 +1,25 @@
-//! Image-distribution strategies as engine components.
+//! Image distribution as an engine component.
 //!
 //! A set of fetcher nodes cold-start container images whose manifests
 //! they already hold (the [`PartialCache`] keeps hierarchies resident);
-//! the missing block *data* must come over the fabric. Two strategies
-//! compete:
+//! the missing block *data* must come over the fabric. One
+//! [`FetchComponent`] runs either of two competing [`FetchStrategy`]s:
 //!
-//! * [`RegistryFetch`] — every node pulls every missing block from the
-//!   registry, whose handful of NICs serialize under load. This is the
-//!   classic `docker pull` stampede: cold-start time grows with the
-//!   node count once the registry links saturate.
-//! * [`CooperativeFetch`] — nodes first ask the registry's tracker which
-//!   peer already holds a block and fetch it peer-to-peer, falling back
-//!   to the registry for blocks nobody has yet. Data legs spread over
-//!   the per-node links, so cold-start time flattens as nodes are added.
+//! * [`FetchStrategy::Registry`] — every node pulls every missing block
+//!   from the registry, whose handful of NICs serialize under load. This
+//!   is the classic `docker pull` stampede: cold-start time grows with
+//!   the node count once the registry links saturate.
+//! * [`FetchStrategy::Cooperative`] — nodes first ask the registry's
+//!   tracker which peer already holds a block and fetch it peer-to-peer,
+//!   falling back to the registry for blocks nobody has yet. Data legs
+//!   spread over the per-node links, so cold-start time flattens as nodes
+//!   are added.
 //!
-//! Under [`CostMode::Fabric`] every leg reserves real occupancy on the
-//! shared interconnect and the crossover between the strategies *emerges*
-//! from contention; under [`CostMode::Fixed`] constant per-leg costs are
-//! charged instead (fast unit tests). Time on the critical path is blamed
-//! to [`category::CAS_REGISTRY`], [`category::CAS_PEER`] and
+//! Every leg reserves real occupancy on the engine's shared interconnect
+//! (a [`now_sim::CostModel::Fabric`] engine is required; a fixed-cost
+//! engine panics on the first leg), so the crossover between the
+//! strategies *emerges* from contention. Time on the critical path is
+//! blamed to [`category::CAS_REGISTRY`], [`category::CAS_PEER`] and
 //! [`category::CAS_DISK`], so the blame table partitions the cold-start
 //! makespan by *cause*.
 
@@ -26,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::{Component, CostMode, Ctx, EventCast, SimDuration, SimRng, SimTime};
+use now_sim::{Component, Ctx, EventCast, SimDuration, SimRng, SimTime};
 
 use crate::cache::PartialCache;
 use crate::image::ImageCatalog;
@@ -88,10 +89,6 @@ pub struct FetchConfig {
     pub peer_service: SimDuration,
     /// Seed for the per-node download-order shuffle.
     pub seed: u64,
-    /// Fixed-mode cost of one network leg (replaces fabric pricing).
-    pub fixed_hop: SimDuration,
-    /// Fixed-mode serialization cost per payload byte, in nanoseconds.
-    pub fixed_ns_per_byte: u64,
 }
 
 impl FetchConfig {
@@ -111,14 +108,7 @@ impl FetchConfig {
             disk_read: SimDuration::from_millis(2),
             peer_service: SimDuration::from_micros(50),
             seed,
-            fixed_hop: SimDuration::from_micros(10),
-            fixed_ns_per_byte: 50,
         }
-    }
-
-    /// Fabric nodes a run needs: fetchers plus registry NICs.
-    pub fn fabric_nodes(&self) -> u32 {
-        self.fetchers + self.registry_nics
     }
 }
 
@@ -148,10 +138,10 @@ pub struct FetchStats {
     pub verify_failures: u64,
 }
 
-/// Shared mechanics of both strategies: per-node plans, the partial
-/// caches, holder tracking, and the cost/blame accounting. The strategy
-/// only decides where each block's data leg comes from.
-pub struct FetchCore {
+/// The distribution run as an engine [`Component`]: per-node plans, the
+/// partial caches, holder tracking, and the cost/blame accounting. The
+/// strategy only decides where each block's data leg comes from.
+pub struct FetchComponent {
     strategy: FetchStrategy,
     config: FetchConfig,
     store: BlockStore,
@@ -188,8 +178,13 @@ pub struct FetchCore {
     probe: Probe,
 }
 
-impl FetchCore {
-    fn new(catalog: ImageCatalog, strategy: FetchStrategy, config: FetchConfig) -> Self {
+impl FetchComponent {
+    /// A distribution of `catalog` under `config`, run with `strategy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the catalog holds no image.
+    pub fn new(catalog: ImageCatalog, strategy: FetchStrategy, config: FetchConfig) -> Self {
         assert!(
             !catalog.manifests.is_empty(),
             "catalog needs at least one image"
@@ -210,7 +205,7 @@ impl FetchCore {
             .iter()
             .map(|&img| PartialCache::new(catalog.manifests[img].clone(), config.cache_budget))
             .collect();
-        FetchCore {
+        FetchComponent {
             strategy,
             config,
             store: catalog.store,
@@ -249,7 +244,7 @@ impl FetchCore {
         self.probe = probe.clone();
     }
 
-    /// The strategy this core runs.
+    /// The strategy this component runs.
     pub fn strategy(&self) -> FetchStrategy {
         self.strategy
     }
@@ -354,11 +349,6 @@ impl FetchCore {
         Some(peer)
     }
 
-    /// Fixed-mode cost of one network leg carrying `bytes` of payload.
-    fn fixed_leg(&self, bytes: u64) -> SimDuration {
-        self.config.fixed_hop + SimDuration::from_nanos(bytes * self.config.fixed_ns_per_byte)
-    }
-
     /// Accepts a delivered block at `node`: verify the bytes against the
     /// manifest hash, cache them, and update the tracker through any
     /// evictions the insert forced.
@@ -450,32 +440,16 @@ impl FetchCore {
             SimDuration::ZERO
         };
         let src = self.fetcher_fabric(node);
-        let (disk_starts, delivered_at) = match ctx.cost_mode() {
-            CostMode::Fixed => {
-                let request = if looked_up {
-                    SimDuration::ZERO
-                } else {
-                    self.fixed_leg(self.config.request_bytes)
-                };
-                let data = self.fixed_leg(len);
-                ctx.blame(category::CAS_REGISTRY, request + data);
-                let disk_starts = ctx.now() + request;
-                (disk_starts, disk_starts + disk + data)
-            }
-            CostMode::Fabric => {
-                let nic = self.next_nic();
-                let disk_starts = if looked_up {
-                    ctx.now()
-                } else {
-                    let req = ctx.transfer_detailed(src, nic, self.config.request_bytes);
-                    ctx.blame(category::CAS_REGISTRY, req.total());
-                    req.delivered
-                };
-                let data = ctx.transfer_detailed_at(nic, src, len, disk_starts + disk);
-                ctx.blame(category::CAS_REGISTRY, data.total());
-                (disk_starts, data.delivered)
-            }
+        let nic = self.next_nic();
+        let disk_starts = if looked_up {
+            ctx.now()
+        } else {
+            let req = ctx.transfer_detailed(src, nic, self.config.request_bytes);
+            ctx.blame(category::CAS_REGISTRY, req.total());
+            req.delivered
         };
+        let data = ctx.transfer_detailed_at(nic, src, len, disk_starts + disk);
+        ctx.blame(category::CAS_REGISTRY, data.total());
         if cold {
             // The registry disk seeks exactly once per block; feed the
             // read into its utilization ledger.
@@ -485,7 +459,7 @@ impl FetchCore {
         self.stats.registry_bytes += len;
         self.accept(node, hash, bytes);
         self.publish_gauges();
-        delivered_at
+        data.delivered
     }
 
     /// Asks the tracker who holds `hash`, then fetches from a peer's
@@ -500,25 +474,15 @@ impl FetchCore {
         let src = self.fetcher_fabric(node);
         // The lookup travels to a registry NIC in both outcomes; on a
         // miss it doubles as the block request.
-        let lookup_done = match ctx.cost_mode() {
-            CostMode::Fixed => {
-                let cost =
-                    self.fixed_leg(self.config.lookup_bytes + self.config.lookup_reply_bytes);
-                ctx.blame(category::CAS_REGISTRY, cost);
-                ctx.now() + cost
-            }
-            CostMode::Fabric => {
-                let nic = self.next_nic();
-                let cost = ctx.rpc_detailed(
-                    src,
-                    nic,
-                    self.config.lookup_bytes,
-                    self.config.lookup_reply_bytes,
-                );
-                ctx.blame(category::CAS_REGISTRY, cost.total());
-                cost.delivered
-            }
-        };
+        let nic = self.next_nic();
+        let lookup = ctx.rpc_detailed(
+            src,
+            nic,
+            self.config.lookup_bytes,
+            self.config.lookup_reply_bytes,
+        );
+        ctx.blame(category::CAS_REGISTRY, lookup.total());
+        let lookup_done = lookup.delivered;
         match self.pick_peer(node, hash) {
             Some(peer) => {
                 self.stats.lookup_hits += 1;
@@ -526,31 +490,22 @@ impl FetchCore {
                     .get(hash)
                     .expect("tracker only lists resident holders");
                 let len = bytes.len() as u64;
-                let delivered_at = match ctx.cost_mode() {
-                    CostMode::Fixed => {
-                        let data = self.fixed_leg(len);
-                        ctx.blame(category::CAS_PEER, self.config.peer_service + data);
-                        lookup_done + self.config.peer_service + data
-                    }
-                    CostMode::Fabric => {
-                        let departs = lookup_done + self.config.peer_service;
-                        let data =
-                            ctx.transfer_detailed_at(self.fetcher_fabric(peer), src, len, departs);
-                        ctx.blame(category::CAS_PEER, self.config.peer_service + data.total());
-                        data.delivered
-                    }
-                };
+                let departs = lookup_done + self.config.peer_service;
+                let data = ctx.transfer_detailed_at(self.fetcher_fabric(peer), src, len, departs);
+                ctx.blame(category::CAS_PEER, self.config.peer_service + data.total());
                 self.stats.peer_blocks += 1;
                 self.stats.peer_bytes += len;
                 self.accept(node, hash, bytes);
                 self.publish_gauges();
-                delivered_at
+                data.delivered
             }
             None => self.fetch_registry(ctx, node, hash, true),
         }
     }
+}
 
-    fn on_event<M: EventCast<CasEvent>>(&mut self, ctx: &mut Ctx<'_, M>, event: M) {
+impl<M: EventCast<CasEvent> + 'static> Component<M> for FetchComponent {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M) {
         match event.downcast() {
             CasEvent::Start => self.on_start(ctx),
             CasEvent::NodeStep { node } => self.on_node_step(ctx, node),
@@ -558,9 +513,9 @@ impl FetchCore {
     }
 }
 
-impl std::fmt::Debug for FetchCore {
+impl std::fmt::Debug for FetchComponent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FetchCore")
+        f.debug_struct("FetchComponent")
             .field("strategy", &self.strategy)
             .field("fetchers", &self.config.fetchers)
             .field("remaining", &self.remaining)
@@ -569,88 +524,33 @@ impl std::fmt::Debug for FetchCore {
     }
 }
 
-/// The registry-only strategy as an engine [`Component`].
-#[derive(Debug)]
-pub struct RegistryFetch(FetchCore);
-
-impl RegistryFetch {
-    /// A registry-only distribution of `catalog` under `config`.
-    pub fn new(catalog: ImageCatalog, config: FetchConfig) -> Self {
-        RegistryFetch(FetchCore::new(catalog, FetchStrategy::Registry, config))
-    }
-
-    /// The shared mechanics (stats, caches, makespan).
-    pub fn core(&self) -> &FetchCore {
-        &self.0
-    }
-
-    /// Attaches the `cas.*` gauges.
-    pub fn set_probe(&mut self, probe: &Probe) {
-        self.0.set_probe(probe);
-    }
-}
-
-impl<M: EventCast<CasEvent> + 'static> Component<M> for RegistryFetch {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M) {
-        self.0.on_event(ctx, event);
-    }
-}
-
-/// The cooperative (peers-first) strategy as an engine [`Component`].
-#[derive(Debug)]
-pub struct CooperativeFetch(FetchCore);
-
-impl CooperativeFetch {
-    /// A cooperative distribution of `catalog` under `config`.
-    pub fn new(catalog: ImageCatalog, config: FetchConfig) -> Self {
-        CooperativeFetch(FetchCore::new(catalog, FetchStrategy::Cooperative, config))
-    }
-
-    /// The shared mechanics (stats, caches, makespan).
-    pub fn core(&self) -> &FetchCore {
-        &self.0
-    }
-
-    /// Attaches the `cas.*` gauges.
-    pub fn set_probe(&mut self, probe: &Probe) {
-        self.0.set_probe(probe);
-    }
-}
-
-impl<M: EventCast<CasEvent> + 'static> Component<M> for CooperativeFetch {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M) {
-        self.0.on_event(ctx, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::ImageCatalogSpec;
+    use now_am::FabricTransport;
+    use now_net::presets;
     use now_sim::Engine;
+
+    const REGISTRY_NICS: u32 = 2;
+
+    /// An engine pricing every leg on an AM-over-ATM fabric with room for
+    /// `fetchers` plus the registry NICs.
+    fn fabric_engine(fetchers: u32) -> Engine<CasEvent> {
+        let net = presets::am_atm(fetchers + REGISTRY_NICS);
+        Engine::with_transport(Box::new(FabricTransport::new(net)))
+    }
 
     fn run(strategy: FetchStrategy, fetchers: u32, budget: u64) -> (FetchStats, SimTime, u64) {
         let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
-        let config = FetchConfig::new(fetchers, 2, budget, 7);
-        let mut engine: Engine<CasEvent> = Engine::new();
-        let id = match strategy {
-            FetchStrategy::Registry => engine.register(RegistryFetch::new(catalog, config)),
-            FetchStrategy::Cooperative => engine.register(CooperativeFetch::new(catalog, config)),
-        };
+        let config = FetchConfig::new(fetchers, REGISTRY_NICS, budget, 7);
+        let mut engine = fabric_engine(fetchers);
+        let id = engine.register(FetchComponent::new(catalog, strategy, config));
         engine.schedule_at(id, SimTime::ZERO, CasEvent::Start);
         engine.run();
-        match strategy {
-            FetchStrategy::Registry => {
-                let c = engine.component::<RegistryFetch>(id).core();
-                assert!(c.complete(), "every fetcher must drain its plan");
-                (c.stats(), c.makespan(), c.content_digest())
-            }
-            FetchStrategy::Cooperative => {
-                let c = engine.component::<CooperativeFetch>(id).core();
-                assert!(c.complete(), "every fetcher must drain its plan");
-                (c.stats(), c.makespan(), c.content_digest())
-            }
-        }
+        let c = engine.component::<FetchComponent>(id);
+        assert!(c.complete(), "every fetcher must drain its plan");
+        (c.stats(), c.makespan(), c.content_digest())
     }
 
     #[test]
@@ -710,16 +610,15 @@ mod tests {
     #[test]
     fn cold_registry_reads_feed_the_disk_ledger() {
         let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
-        let config = FetchConfig::new(4, 2, u64::MAX, 7);
+        let config = FetchConfig::new(4, REGISTRY_NICS, u64::MAX, 7);
         let registry = now_probe::Registry::new();
-        let mut engine: Engine<CasEvent> = Engine::new();
-        let mut fetch = RegistryFetch::new(catalog, config);
+        let mut engine = fabric_engine(4);
+        let mut fetch = FetchComponent::new(catalog, FetchStrategy::Registry, config);
         fetch.set_probe(&registry.probe());
         let id = engine.register(fetch);
         engine.schedule_at(id, SimTime::ZERO, CasEvent::Start);
         engine.run();
-        let core = engine.component::<RegistryFetch>(id).core();
-        let disk_reads = core.stats().disk_reads;
+        let disk_reads = engine.component::<FetchComponent>(id).stats().disk_reads;
         assert!(disk_reads > 0);
         let snap = registry.snapshot();
         let util = snap.util("cas.disk").expect("cas.disk ledger");
@@ -729,5 +628,17 @@ mod tests {
         assert!(util.busy_ns > 0);
         assert_eq!(util.busy_ns + util.idle_ns(), util.wall_ns);
         assert!(util.busy_ns <= util.wall_ns);
+    }
+
+    #[test]
+    #[should_panic(expected = "CostModel::Fixed")]
+    fn fixed_cost_engine_is_rejected() {
+        let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
+        let config = FetchConfig::new(4, REGISTRY_NICS, u64::MAX, 7);
+        let mut engine: Engine<CasEvent> = Engine::new();
+        let fetch = FetchComponent::new(catalog, FetchStrategy::Cooperative, config);
+        let id = engine.register(fetch);
+        engine.schedule_at(id, SimTime::ZERO, CasEvent::Start);
+        engine.run();
     }
 }

@@ -19,8 +19,7 @@
 
 use now_am::BatchConfig;
 use now_cas::{
-    CasEvent, CooperativeFetch, FetchConfig, FetchCore, FetchStrategy, ImageCatalog,
-    ImageCatalogSpec, RegistryFetch,
+    CasEvent, FetchComponent, FetchConfig, FetchStrategy, ImageCatalog, ImageCatalogSpec,
 };
 use now_sim::{Engine, EventCast, SimTime};
 
@@ -31,7 +30,7 @@ use crate::scenario::{RecorderEvent, ScenarioObservations, ScenarioObserver};
 /// flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistributeScenarioEvent {
-    /// A distribution event ([`RegistryFetch`] / [`CooperativeFetch`]).
+    /// A distribution event ([`FetchComponent`]).
     Cas(CasEvent),
     /// A flight-recorder sampling tick (observed runs only).
     Record(RecorderEvent),
@@ -201,28 +200,18 @@ impl NowCluster {
         );
 
         let catalog = ImageCatalog::generate(&spec.catalog);
-        let mut config = FetchConfig::new(
+        let config = FetchConfig::new(
             spec.fetchers,
             spec.registry_nics,
             spec.cache_budget,
             spec.seed,
         );
-        config.seed = spec.seed;
 
         let mut engine: Engine<DistributeScenarioEvent> = self.fabric_engine(spec.am_batch, probe);
         let mut watch = observer.attach(&mut engine);
-        let cas_id = match spec.strategy {
-            FetchStrategy::Registry => {
-                let mut fetch = RegistryFetch::new(catalog, config);
-                fetch.set_probe(probe);
-                engine.register(fetch)
-            }
-            FetchStrategy::Cooperative => {
-                let mut fetch = CooperativeFetch::new(catalog, config);
-                fetch.set_probe(probe);
-                engine.register(fetch)
-            }
-        };
+        let mut fetch = FetchComponent::new(catalog, spec.strategy, config);
+        fetch.set_probe(probe);
+        let cas_id = engine.register(fetch);
         engine.schedule_at(
             cas_id,
             SimTime::ZERO,
@@ -241,24 +230,21 @@ impl NowCluster {
             &[("distribute", "distribute.complete")],
         );
 
-        let core: &FetchCore = match spec.strategy {
-            FetchStrategy::Registry => engine.component::<RegistryFetch>(cas_id).core(),
-            FetchStrategy::Cooperative => engine.component::<CooperativeFetch>(cas_id).core(),
-        };
-        assert!(core.complete(), "every fetcher must finish its plan");
-        let stats = core.stats();
-        let store_stats = core.store().stats();
+        let fetch = engine.component::<FetchComponent>(cas_id);
+        assert!(fetch.complete(), "every fetcher must finish its plan");
+        let stats = fetch.stats();
+        let store_stats = fetch.store().stats();
         probe
             .gauge("probe.observation_bytes")
             .set(footprint.bytes as f64);
         let outcome = DistributeOutcome {
             fetchers: spec.fetchers,
-            images: core.manifests().len(),
-            unique_blocks: core.store().len(),
+            images: fetch.manifests().len(),
+            unique_blocks: fetch.store().len(),
             logical_bytes: store_stats.logical_bytes,
             unique_bytes: store_stats.unique_bytes,
             dedup_factor: store_stats.dedup_factor(),
-            makespan: core.makespan(),
+            makespan: fetch.makespan(),
             registry_blocks: stats.registry_blocks,
             registry_bytes: stats.registry_bytes,
             peer_blocks: stats.peer_blocks,
@@ -268,8 +254,8 @@ impl NowCluster {
             lookup_hits: stats.lookup_hits,
             evictions: stats.evictions,
             verify_failures: stats.verify_failures,
-            content_digest: core.content_digest(),
-            workload_bytes: core.approx_bytes(),
+            content_digest: fetch.content_digest(),
+            workload_bytes: fetch.approx_bytes(),
             observation_bytes: footprint.bytes,
             causal_records: footprint.causal_records,
             causal_dropped: footprint.causal_dropped,

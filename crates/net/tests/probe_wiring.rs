@@ -1,7 +1,7 @@
-//! The telemetry taps in `Network` and `CsmaBus` fire iff a registry is
-//! attached, and never change what the simulation computes.
+//! The telemetry taps in `Network` fire iff a registry is attached, and
+//! never change what the simulation computes.
 
-use now_net::{presets, CsmaBus, Fabric, NodeId};
+use now_net::{presets, NodeId};
 use now_probe::{Probe, Registry};
 use now_sim::SimTime;
 
@@ -47,26 +47,6 @@ fn measurement_helpers_do_not_pollute_telemetry() {
     let _ = net.one_way_small_message_us();
     let _ = net.bandwidth_at_mbps(8_192, 16);
     assert_eq!(registry.snapshot().counter("net.transfers"), None);
-}
-
-#[test]
-fn csma_counts_frames_collisions_and_wait() {
-    let registry = Registry::new();
-    let mut bus = CsmaBus::ethernet_10(8, 3);
-    bus.set_probe(registry.probe());
-    // Everyone transmits at the same instant: collisions are forced.
-    for round in 0..20u64 {
-        for s in 0..7 {
-            bus.transfer(NodeId(s), NodeId(7), 1_500, SimTime::from_micros(round));
-        }
-    }
-    let s = registry.snapshot();
-    assert_eq!(s.counter("csma.frames"), Some(140));
-    assert_eq!(s.counter("csma.collisions"), Some(bus.collisions()));
-    assert!(bus.collisions() > 0, "simultaneous senders must collide");
-    let wait = s.histogram("csma.acquire_wait.ns").unwrap();
-    assert_eq!(wait.count, 140);
-    assert!(wait.max.unwrap() > 0, "contended frames wait for the wire");
 }
 
 #[test]

@@ -480,11 +480,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration as nanoseconds.
-    pub fn record_duration(&self, duration: SimDuration) {
-        self.record(duration.as_nanos());
-    }
-
     /// Current summary (`None` when detached).
     pub fn summary(&self) -> Option<HistogramSummary> {
         self.0.as_ref().map(|h| h.summary())

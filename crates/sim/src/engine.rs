@@ -1156,11 +1156,6 @@ impl<M: 'static> Engine<M> {
         any.downcast_mut::<C>()
             .expect("component type mismatch: wrong ComponentId for this type")
     }
-
-    /// The cost model, e.g. to inspect a fabric's state after a run.
-    pub fn cost_model_mut(&mut self) -> &mut CostModel {
-        &mut self.cost
-    }
 }
 
 impl<M> std::fmt::Debug for Engine<M> {

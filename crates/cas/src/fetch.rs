@@ -154,6 +154,9 @@ pub struct FetchComponent {
     /// Per node: position in its plan.
     pos: Vec<usize>,
     caches: Vec<PartialCache>,
+    /// Resident block bytes summed over `caches`, kept current on every
+    /// insert and eviction.
+    cached_bytes: u64,
     /// Which fetchers currently hold each block resident (maintained
     /// through evictions) — the tracker's state.
     holders: BTreeMap<BlockHash, BTreeSet<u32>>,
@@ -214,6 +217,7 @@ impl FetchComponent {
             plans,
             pos: vec![0; n],
             caches,
+            cached_bytes: 0,
             holders: BTreeMap::new(),
             warmed: BTreeSet::new(),
             delivered: vec![BTreeMap::new(); n],
@@ -334,32 +338,37 @@ impl FetchComponent {
     /// A peer (not `node`) holding `hash`, round-robin over the holder
     /// set so serving load spreads; `None` if nobody else has it.
     fn pick_peer(&mut self, node: u32, hash: BlockHash) -> Option<u32> {
-        let holders: Vec<u32> = self
-            .holders
-            .get(&hash)?
-            .iter()
-            .copied()
-            .filter(|&h| h != node)
-            .collect();
-        if holders.is_empty() {
+        let holders = self.holders.get(&hash)?;
+        let others = holders.len() - usize::from(holders.contains(&node));
+        if others == 0 {
             return None;
         }
-        let peer = holders[(self.rr_peer % holders.len() as u64) as usize];
+        let nth = (self.rr_peer % others as u64) as usize;
+        let peer = holders.iter().copied().filter(|&h| h != node).nth(nth);
         self.rr_peer += 1;
-        Some(peer)
+        peer
     }
 
     /// Accepts a delivered block at `node`: verify the bytes against the
     /// manifest hash, cache them, and update the tracker through any
     /// evictions the insert forced.
+    ///
+    /// Verification goes through [`BlockStore::verify`]: a delivery of
+    /// the registry's own buffer (every registry and peer leg hands one
+    /// on) is vouched for by the hash the store computed at insertion,
+    /// and any other buffer is re-hashed in full.
     fn accept(&mut self, node: u32, hash: BlockHash, bytes: bytes::Bytes) {
-        let recomputed = self.store.hash_of(&bytes);
+        let recomputed = self.store.verify(hash, &bytes);
         if recomputed != hash {
             self.stats.verify_failures += 1;
         }
         self.delivered[node as usize].insert(hash, recomputed);
         self.stats.delivered_blocks += 1;
-        for victim in self.caches[node as usize].insert(hash, bytes) {
+        let cache = &mut self.caches[node as usize];
+        let used_before = cache.used_bytes();
+        let victims = cache.insert(hash, bytes);
+        self.cached_bytes = self.cached_bytes - used_before + cache.used_bytes();
+        for victim in victims {
             self.stats.evictions += 1;
             if let Some(set) = self.holders.get_mut(&victim) {
                 set.remove(&node);
@@ -379,8 +388,7 @@ impl FetchComponent {
             .set(self.stats.registry_bytes as f64);
         self.peer_bytes_gauge.set(self.stats.peer_bytes as f64);
         self.disk_reads_gauge.set(self.stats.disk_reads as f64);
-        let cached: u64 = self.caches.iter().map(PartialCache::used_bytes).sum();
-        self.cached_bytes_gauge.set(cached as f64);
+        self.cached_bytes_gauge.set(self.cached_bytes as f64);
     }
 
     /// Kick-off: one step event per fetcher, all at `now` (synchronized
@@ -550,6 +558,8 @@ mod tests {
         engine.run();
         let c = engine.component::<FetchComponent>(id);
         assert!(c.complete(), "every fetcher must drain its plan");
+        let resident: u64 = c.caches().iter().map(PartialCache::used_bytes).sum();
+        assert_eq!(c.cached_bytes, resident, "running total drifted");
         (c.stats(), c.makespan(), c.content_digest())
     }
 
@@ -598,6 +608,31 @@ mod tests {
         assert_eq!(stats.verify_failures, 0);
         let (_, _, full) = run(FetchStrategy::Cooperative, 6, u64::MAX);
         assert_eq!(digest, full, "evictions must not change delivered bytes");
+    }
+
+    #[test]
+    fn corrupted_deliveries_fail_verification() {
+        let component = || {
+            let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
+            let config = FetchConfig::new(2, REGISTRY_NICS, u64::MAX, 7);
+            FetchComponent::new(catalog, FetchStrategy::Registry, config)
+        };
+        let mut clean = component();
+        let mut corrupt = component();
+        let hash = clean.plans[0][0];
+        let good = clean.store.get(hash).expect("registry holds the catalog");
+        let mut bad = good.to_vec();
+        bad[0] ^= 0xff;
+        clean.accept(0, hash, good);
+        corrupt.accept(0, hash, bytes::Bytes::from(bad));
+        assert_eq!(clean.stats().verify_failures, 0);
+        assert_eq!(corrupt.stats().verify_failures, 1);
+        assert_eq!(corrupt.stats().delivered_blocks, 1);
+        assert_ne!(
+            clean.content_digest(),
+            corrupt.content_digest(),
+            "the digest folds the hash of the bytes received"
+        );
     }
 
     #[test]

@@ -55,10 +55,10 @@ pub struct ImageCatalog {
 impl ImageCatalog {
     /// Generates the catalog described by `spec`, deterministically.
     ///
-    /// The base layer is generated once and chunked into every image, so
-    /// base chunks carry one reference per image; app files are forked
-    /// per image and unique. Dedup factor follows directly from the
-    /// base/app byte ratio and the image count.
+    /// The base layer is generated, chunked and hashed once and shared by
+    /// every image, so base chunks carry one reference per image; app
+    /// files are forked per image and unique. Dedup factor follows
+    /// directly from the base/app byte ratio and the image count.
     ///
     /// # Panics
     ///
@@ -73,7 +73,7 @@ impl ImageCatalog {
         let mut store = BlockStore::new(rng.fork_seed(), spec.chunk_bytes);
         let size_range = (spec.file_bytes / 2).max(1)..(spec.file_bytes * 3 / 2).max(2);
 
-        let base: Vec<(String, Vec<u8>)> = (0..spec.base_files)
+        let base_files: Vec<(String, Vec<u8>)> = (0..spec.base_files)
             .map(|i| {
                 let len = rng.gen_range(size_range.clone()) as usize;
                 (
@@ -82,18 +82,33 @@ impl ImageCatalog {
                 )
             })
             .collect();
+        // The base layer is chunked and hashed once. The first image's
+        // references come from that insertion; every later image takes
+        // its references with `retain`, which counts exactly as inserting
+        // the same bytes again would.
+        let base = ImageManifest::build("base", &base_files, &mut store).entries;
 
         let manifests = (0..spec.images)
             .map(|img| {
-                let mut files = base.clone();
-                files.extend((0..spec.app_files).map(|i| {
-                    let len = rng.gen_range(size_range.clone()) as usize;
-                    (
-                        format!("/app/img{img:03}/file{i:03}.bin"),
-                        fill_bytes(rng.fork_seed(), len),
-                    )
-                }));
-                ImageManifest::build(&format!("img-{img}"), &files, &mut store)
+                if img > 0 {
+                    for &hash in base.iter().flat_map(|e| &e.blocks) {
+                        assert!(store.retain(hash), "the base layer stays stored");
+                    }
+                }
+                let app_files: Vec<(String, Vec<u8>)> = (0..spec.app_files)
+                    .map(|i| {
+                        let len = rng.gen_range(size_range.clone()) as usize;
+                        (
+                            format!("/app/img{img:03}/file{i:03}.bin"),
+                            fill_bytes(rng.fork_seed(), len),
+                        )
+                    })
+                    .collect();
+                let app = ImageManifest::build(&format!("img-{img}"), &app_files, &mut store);
+                ImageManifest {
+                    entries: base.iter().cloned().chain(app.entries).collect(),
+                    ..app
+                }
             })
             .collect();
 

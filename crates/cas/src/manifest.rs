@@ -35,19 +35,29 @@ pub struct ImageManifest {
 
 impl ImageManifest {
     /// Builds a manifest by chunking `files` (path, content) through
-    /// `store`, taking one reference per chunk occurrence.
+    /// `store`, taking one reference per chunk occurrence. The chunks of
+    /// every file are hashed in one [`BlockStore::add_chunks`] batch.
     pub fn build(name: &str, files: &[(String, Vec<u8>)], store: &mut BlockStore) -> Self {
+        let chunk_bytes = store.chunk_bytes();
+        let chunks: Vec<&[u8]> = files
+            .iter()
+            .flat_map(|(_, data)| data.chunks(chunk_bytes))
+            .collect();
+        let mut hashes = store.add_chunks(&chunks).into_iter();
         let entries = files
             .iter()
             .map(|(path, data)| ManifestEntry {
                 path: path.clone(),
                 size: data.len() as u64,
-                blocks: store.add_bytes(data),
+                blocks: hashes
+                    .by_ref()
+                    .take(data.len().div_ceil(chunk_bytes))
+                    .collect(),
             })
             .collect();
         ImageManifest {
             name: name.to_string(),
-            chunk_bytes: store.chunk_bytes(),
+            chunk_bytes,
             entries,
         }
     }

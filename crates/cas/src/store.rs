@@ -23,17 +23,65 @@ pub const DEFAULT_CHUNK_BYTES: usize = 16 * 1024;
 )]
 pub struct BlockHash(pub u64);
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 impl BlockHash {
-    /// Hashes `bytes` under `seed`.
+    /// Hashes `bytes` under `seed`. The one-chunk reference: every other
+    /// hashing path must agree with it bit for bit.
     pub fn of(seed: u64, bytes: &[u8]) -> BlockHash {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET ^ seed.wrapping_mul(PRIME);
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+        BlockHash::finish(absorb(BlockHash::start(seed), bytes))
+    }
+
+    /// Hashes every chunk under `seed`, equal to `chunks.iter().map(|c|
+    /// BlockHash::of(seed, c))` but four chunks at a time.
+    ///
+    /// FNV-1a is one serial multiply chain per chunk, so a single chunk
+    /// runs at the multiplier's latency. Here the chunks are grouped by
+    /// length and each group of four runs as four independent chains
+    /// interleaved in one loop over their common length, which keeps the
+    /// multiplier busy; a lane longer than the common length finishes its
+    /// own tail alone. Chunks of equal length (a store's full chunks) are
+    /// hashed entirely four-wide.
+    pub fn of_all(seed: u64, chunks: &[&[u8]]) -> Vec<BlockHash> {
+        let mut order: Vec<usize> = (0..chunks.len()).collect();
+        order.sort_by_key(|&i| chunks[i].len());
+        let mut out = vec![BlockHash::default(); chunks.len()];
+        let mut quads = order.chunks_exact(4);
+        for quad in &mut quads {
+            let lanes = [quad[0], quad[1], quad[2], quad[3]].map(|i| chunks[i]);
+            // Sorted ascending, so the first lane is the shortest.
+            let common = lanes[0].len();
+            let mut h = [BlockHash::start(seed); 4];
+            for (((&b0, &b1), &b2), &b3) in lanes[0]
+                .iter()
+                .zip(&lanes[1][..common])
+                .zip(&lanes[2][..common])
+                .zip(&lanes[3][..common])
+            {
+                h[0] = (h[0] ^ u64::from(b0)).wrapping_mul(FNV_PRIME);
+                h[1] = (h[1] ^ u64::from(b1)).wrapping_mul(FNV_PRIME);
+                h[2] = (h[2] ^ u64::from(b2)).wrapping_mul(FNV_PRIME);
+                h[3] = (h[3] ^ u64::from(b3)).wrapping_mul(FNV_PRIME);
+            }
+            for (lane, &i) in quad.iter().enumerate() {
+                out[i] = BlockHash::finish(absorb(h[lane], &lanes[lane][common..]));
+            }
         }
-        // Avalanche the FNV state so nearby chunks spread over the space.
+        for &i in quads.remainder() {
+            out[i] = BlockHash::of(seed, chunks[i]);
+        }
+        out
+    }
+
+    /// The FNV state before any byte: the offset basis keyed by `seed`.
+    fn start(seed: u64) -> u64 {
+        FNV_OFFSET ^ seed.wrapping_mul(FNV_PRIME)
+    }
+
+    /// Avalanches a finished FNV state so nearby chunks spread over the
+    /// space.
+    fn finish(mut h: u64) -> BlockHash {
         h ^= h >> 30;
         h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h ^= h >> 27;
@@ -41,6 +89,15 @@ impl BlockHash {
         h ^= h >> 31;
         BlockHash(h)
     }
+}
+
+/// Folds `bytes` into the FNV-1a state `h`.
+fn absorb(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 impl fmt::Display for BlockHash {
@@ -143,7 +200,13 @@ impl BlockStore {
     /// Inserts one chunk, deduplicating against existing content, and
     /// returns its hash. Each call adds one reference.
     pub fn insert(&mut self, bytes: Bytes) -> BlockHash {
-        let hash = BlockHash::of(self.seed, &bytes);
+        let hash = self.hash_of(&bytes);
+        self.insert_hashed(hash, bytes);
+        hash
+    }
+
+    /// Inserts `bytes` already hashed to `hash` under this store's seed.
+    fn insert_hashed(&mut self, hash: BlockHash, bytes: Bytes) {
         self.stats.inserts += 1;
         self.stats.logical_bytes += bytes.len() as u64;
         match self.blocks.get_mut(&hash) {
@@ -157,15 +220,54 @@ impl BlockStore {
                 self.blocks.insert(hash, StoredBlock { bytes, refs: 1 });
             }
         }
-        hash
+    }
+
+    /// Inserts every chunk (copying each into the store), hashing them
+    /// through [`BlockHash::of_all`]; returns their hashes in order.
+    pub fn add_chunks(&mut self, chunks: &[&[u8]]) -> Vec<BlockHash> {
+        let hashes = BlockHash::of_all(self.seed, chunks);
+        for (&hash, chunk) in hashes.iter().zip(chunks) {
+            self.insert_hashed(hash, Bytes::copy_from_slice(chunk));
+        }
+        hashes
     }
 
     /// Chunks `data` at the store's chunk size and inserts every chunk
     /// (the last one may be short), returning the ordered hash list.
     pub fn add_bytes(&mut self, data: &[u8]) -> Vec<BlockHash> {
-        data.chunks(self.chunk_bytes)
-            .map(|chunk| self.insert(Bytes::copy_from_slice(chunk)))
-            .collect()
+        let chunks: Vec<&[u8]> = data.chunks(self.chunk_bytes).collect();
+        self.add_chunks(&chunks)
+    }
+
+    /// Takes one more reference to a stored chunk without re-hashing it:
+    /// the accounting of an insert that finds its chunk already stored
+    /// (an insert, its logical bytes, a dedup hit). Returns `false`, and
+    /// counts nothing, if the hash is absent.
+    pub fn retain(&mut self, hash: BlockHash) -> bool {
+        let Some(block) = self.blocks.get_mut(&hash) else {
+            return false;
+        };
+        block.refs += 1;
+        self.stats.inserts += 1;
+        self.stats.logical_bytes += block.bytes.len() as u64;
+        self.stats.dedup_hits += 1;
+        true
+    }
+
+    /// The hash of `bytes`, delivered as the chunk stored under `hash`.
+    ///
+    /// If `bytes` is the very buffer this store holds under `hash` (same
+    /// address, same length), that hash is returned without reading a
+    /// byte: `Bytes` is immutable and the store keeps the buffer alive,
+    /// so no other content can sit at that address, and the store hashed
+    /// exactly these bytes on insertion. Any other buffer, a copy or a
+    /// slice included, is re-hashed in full.
+    pub fn verify(&self, hash: BlockHash, bytes: &Bytes) -> BlockHash {
+        match self.blocks.get(&hash) {
+            // Slice pointers compare address and length.
+            Some(block) if std::ptr::eq(&block.bytes[..], &bytes[..]) => hash,
+            _ => self.hash_of(bytes),
+        }
     }
 
     /// The bytes of a stored chunk (cheap clone of a shared buffer).
@@ -276,6 +378,92 @@ mod tests {
         assert!(!store.contains(h), "freed with the last reference");
         assert_eq!(store.stats().unique_bytes, 0);
         assert!(!store.release(h), "releasing an absent hash is reported");
+    }
+
+    #[test]
+    fn retain_accounts_like_a_dedup_hit_insert() {
+        let mut inserted = BlockStore::new(3, 8);
+        let mut retained = BlockStore::new(3, 8);
+        let h = inserted.insert(Bytes::from_static(b"retained"));
+        assert_eq!(retained.insert(Bytes::from_static(b"retained")), h);
+        inserted.insert(Bytes::from_static(b"retained"));
+        assert!(retained.retain(h));
+        assert_eq!(retained.stats(), inserted.stats());
+        assert_eq!(retained.refs(h), 2);
+        let absent = BlockHash::of(3, b"absent");
+        assert!(
+            !retained.retain(absent),
+            "retaining an absent hash is reported"
+        );
+        assert_eq!(retained.stats(), inserted.stats(), "and counts nothing");
+    }
+
+    /// A store holding one 16-byte chunk, and its hash.
+    fn one_chunk_store() -> (BlockStore, BlockHash) {
+        let mut store = BlockStore::new(11, 16);
+        let h = store.insert(Bytes::from_static(b"0123456789abcdef"));
+        (store, h)
+    }
+
+    #[test]
+    fn verify_trusts_the_stored_buffer() {
+        let (store, h) = one_chunk_store();
+        let shared = store.get(h).expect("stored");
+        assert_eq!(store.verify(h, &shared), h);
+    }
+
+    #[test]
+    fn verify_rehashes_a_fresh_copy() {
+        let (store, h) = one_chunk_store();
+        let copy = Bytes::copy_from_slice(&store.get(h).expect("stored"));
+        assert_eq!(store.verify(h, &copy), h, "same content, same hash");
+    }
+
+    #[test]
+    fn verify_catches_a_flipped_byte() {
+        let (store, h) = one_chunk_store();
+        let mut data = store.get(h).expect("stored").to_vec();
+        data[7] ^= 0x01;
+        let got = store.verify(h, &Bytes::from(data.clone()));
+        assert_ne!(got, h);
+        assert_eq!(got, BlockHash::of(11, &data));
+    }
+
+    #[test]
+    fn verify_catches_a_short_slice() {
+        let (store, h) = one_chunk_store();
+        let stored = store.get(h).expect("stored");
+        let short = Bytes::copy_from_slice(&stored[..15]);
+        assert_ne!(store.verify(h, &short), h);
+    }
+
+    #[test]
+    fn verify_rehashes_a_buffer_stored_under_another_hash() {
+        let (mut store, h) = one_chunk_store();
+        let other = store.insert(Bytes::from_static(b"fedcba9876543210"));
+        // The store's own buffer for `other`, claimed to be `h`: the
+        // identity check is keyed by the claimed hash, so it re-hashes.
+        let got = store.verify(h, &store.get(other).expect("stored"));
+        assert_eq!(got, other);
+        assert_ne!(got, h);
+    }
+
+    #[test]
+    fn multi_lane_hashing_matches_the_reference() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        // Equal full chunks, a short one, an empty one, one odd length.
+        let chunks: Vec<&[u8]> = vec![
+            &data[0..40],
+            &data[40..80],
+            &data[80..120],
+            &data[..0],
+            &data[120..160],
+            &data[160..173],
+            &data[173..],
+        ];
+        let want: Vec<BlockHash> = chunks.iter().map(|c| BlockHash::of(9, c)).collect();
+        assert_eq!(BlockHash::of_all(9, &chunks), want);
+        assert!(BlockHash::of_all(9, &[]).is_empty());
     }
 
     #[test]

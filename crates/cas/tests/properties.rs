@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use now_am::FabricTransport;
 use now_cas::{
-    BlockStore, CasEvent, FetchComponent, FetchConfig, FetchStrategy, ImageCatalog,
+    BlockHash, BlockStore, CasEvent, FetchComponent, FetchConfig, FetchStrategy, ImageCatalog,
     ImageCatalogSpec, ImageManifest, PartialCache,
 };
 use now_net::presets;
@@ -33,7 +33,34 @@ fn manifest_for(blocks: &[Vec<u8>], store: &mut BlockStore) -> ImageManifest {
     ImageManifest::build("img", &[("/data".to_string(), data)], store)
 }
 
+/// A chunk of `full` bytes, of a few bytes short of it, or empty.
+fn chunk_of(full: usize) -> impl Strategy<Value = Vec<u8>> {
+    (0u8..3, 1..full, prop::collection::vec(any::<u8>(), full)).prop_map(
+        move |(kind, short, mut data)| {
+            data.truncate(match kind {
+                0 => full,
+                1 => short,
+                _ => 0,
+            });
+            data
+        },
+    )
+}
+
 proptest! {
+    /// The four-lane kernel hashes every chunk exactly as the one-chunk
+    /// reference does, in order, whatever mix of lengths it is handed.
+    #[test]
+    fn multi_lane_hashes_equal_the_reference(
+        chunks in prop::collection::vec(chunk_of(96), 0..10),
+        seed in any::<u64>(),
+    ) {
+        let slices: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        let reference: Vec<BlockHash> =
+            slices.iter().map(|c| BlockHash::of(seed, c)).collect();
+        prop_assert_eq!(BlockHash::of_all(seed, &slices), reference);
+    }
+
     /// Chunking then reassembling through the store round-trips every
     /// byte, whatever the data and chunk size.
     #[test]

@@ -13,12 +13,6 @@
 //!   provisional finish events scheduled, cancelled, and rescheduled.
 //!   This is where hashing and tombstone churn used to dominate, and
 //!   where the bitset must be measurably faster.
-//! * `partition_window` — the conservative-window protocol the
-//!   partitioned engine runs, stripped to its queue traffic: four
-//!   queues drain up to a shared window edge, cross-queue sends batch
-//!   in outboxes, and the barrier merges them deterministically. Run
-//!   single-threaded, it prices the protocol itself (peeks, barrier
-//!   merges, edge-bounded drains) against the plain dispatch loop.
 //!
 //! Before/after numbers for this bench live in `EXPERIMENTS.md`.
 
@@ -76,64 +70,6 @@ fn cancel_heavy_churn(events: u64) -> SimTime {
     q.now()
 }
 
-/// Queues a partitioned run drains in parallel; run serially here so the
-/// bench prices protocol overhead, not thread scheduling.
-const PARTS: usize = 4;
-
-/// Conservative-window shape: the same standing population as
-/// `schedule_pop_churn`, sharded over [`PARTS`] queues and drained in
-/// lookahead windows. Every pop schedules a successor; every fourth
-/// successor crosses queues, so it detours through an outbox and a
-/// deterministic barrier merge — exactly the traffic the partitioned
-/// engine adds on top of the plain dispatch loop.
-fn partition_window(events: u64) -> SimTime {
-    let lookahead = SimDuration::from_micros(17);
-    let mut queues: Vec<EventQueue<u64>> = (0..PARTS).map(|_| EventQueue::new()).collect();
-    for i in 0..POPULATION {
-        queues[(i % PARTS as u64) as usize].schedule_at(SimTime::from_micros(i % 17 + 1), i);
-    }
-    let mut outboxes: Vec<Vec<(SimTime, u64)>> = vec![Vec::new(); PARTS];
-    let mut merged: Vec<(SimTime, usize, u64)> = Vec::new();
-    let mut left = events;
-    while left > 0 {
-        // Barrier: the window edge is lookahead past the global floor.
-        let Some(floor) = queues.iter().filter_map(EventQueue::peek_time).min() else {
-            break;
-        };
-        let edge = floor + lookahead;
-        // Each partition drains its window; remote sends wait in outboxes.
-        for (p, q) in queues.iter_mut().enumerate() {
-            while left > 0 && q.peek_time().is_some_and(|t| t <= edge) {
-                let (now, n) = q.pop().expect("peeked");
-                black_box(n);
-                left -= 1;
-                // Remote sends clear the edge by at least the lookahead,
-                // so the merge below never schedules into a drained window.
-                let at = now + SimDuration::from_micros(n % 17 + 1) + lookahead;
-                if n % PARTS as u64 == 0 {
-                    outboxes[p].push((at, n + 1));
-                } else {
-                    q.schedule_at(at, n + 1);
-                }
-            }
-        }
-        // Exchange: concatenate in partition order, then a stable sort by
-        // fire time — the same deterministic merge the engine runs.
-        for (p, outbox) in outboxes.iter_mut().enumerate() {
-            merged.extend(outbox.drain(..).map(|(t, n)| (t, p, n)));
-        }
-        merged.sort_by_key(|&(t, p, _)| (t, p));
-        for (t, _, n) in merged.drain(..) {
-            queues[(n % PARTS as u64) as usize].schedule_at(t, n);
-        }
-    }
-    queues
-        .iter()
-        .map(EventQueue::now)
-        .max()
-        .unwrap_or(SimTime::ZERO)
-}
-
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue_hotpath");
     g.bench_function("schedule_pop_churn_100k", |b| {
@@ -141,9 +77,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("cancel_heavy_churn_100k", |b| {
         b.iter(|| cancel_heavy_churn(black_box(EVENTS)))
-    });
-    g.bench_function("partition_window_100k", |b| {
-        b.iter(|| partition_window(black_box(EVENTS)))
     });
     g.finish();
 }

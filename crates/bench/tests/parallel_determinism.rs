@@ -31,28 +31,40 @@ fn availability_report_is_byte_identical_across_jobs() {
 fn blame_tables_are_byte_identical_across_jobs() {
     // Causal logs are per run, so blame parallelises; the full observed
     // report (table + blame appendix) must still match the serial one.
-    let blamed = |jobs| Report {
-        blame: true,
-        ..smoke(jobs, 32, 1)
+    let blamed = |jobs, nodes, partitions| {
+        now_bench::contention(&Report {
+            blame: true,
+            ..smoke(jobs, nodes, partitions)
+        })
+        .text
     };
-    let serial = now_bench::contention(&blamed(1));
-    let parallel = now_bench::contention(&blamed(8));
-    assert_eq!(serial.text, parallel.text);
+    let serial = blamed(1, 32, 1);
+    assert_eq!(serial, blamed(8, 32, 1));
     assert!(
-        serial.text.contains("Blame - job makespan"),
-        "blame appendix missing:\n{}",
-        serial.text
+        serial.contains("Blame - job makespan"),
+        "blame appendix missing:\n{serial}"
     );
+    // Two cells: the partitions share one causal log, each writing its
+    // own offset id range, and the blame tables must not notice.
+    let two_cells = blamed(1, 64, 1);
+    for partitions in [2u32, 4] {
+        assert_eq!(
+            two_cells,
+            blamed(1, 64, partitions),
+            "blame tables diverged at partitions={partitions}"
+        );
+    }
 }
 
 #[test]
 fn batched_contention_is_byte_identical_across_jobs_and_partitions() {
     // Batching state is per cell-fabric, so neither the fan-out worker
-    // count nor the partition count may leak into a batched report.
+    // count nor the partition count may leak into a batched report. At
+    // 64 nodes the run has two cells, so partitions > 1 really shard it.
     let batched = |jobs, partitions| {
         now_bench::contention(&Report {
             am_batch_us: 8,
-            ..smoke(jobs, 32, partitions)
+            ..smoke(jobs, 64, partitions)
         })
         .text
     };

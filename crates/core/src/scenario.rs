@@ -30,8 +30,8 @@ use now_probe::causal::{category, BlameTable, CausalLog};
 use now_probe::recorder::{TimeSeries, WindowedSeries};
 use now_probe::{Gauge, Probe};
 use now_sim::{
-    Component, ComponentId, CostModel, Ctx, Engine, EventCast, HostProfile, Lookahead,
-    PartitionedEngine, SimDuration, SimTime, TransferCost, Transport,
+    Component, ComponentId, CostModel, Ctx, Engine, EventCast, HostProfile, PartitionedEngine,
+    SimDuration, SimTime, TransferCost, Transport,
 };
 use now_trace::fs::{FsTrace, FsTraceConfig};
 use serde::{Deserialize, Serialize};
@@ -716,9 +716,8 @@ const CELL_COMPONENT_NAMES: [&str; 6] =
 /// with node ids translated back to the cell's local numbering.
 ///
 /// Cells never exchange traffic — that closure is exactly what lets
-/// [`PartitionedEngine`] run them under [`Lookahead::Closed`] with no
-/// synchronization windows at all — so a cross-cell transfer is a bug and
-/// panics.
+/// [`PartitionedEngine`] run them with no synchronisation at all — so a
+/// cross-cell transfer is a bug and panics.
 struct CellTransport {
     nodes_per_cell: u32,
     cells: BTreeMap<u32, BatchingTransport<FabricTransport>>,
@@ -1021,19 +1020,20 @@ impl NowCluster {
     /// nodes `c*n..(c+1)*n`, seed `seed + c`, telemetry under a `cell{c}.`
     /// prefix), sharded over `spec.partitions` engine partitions on scoped
     /// threads. Cells share nothing — no wires, no caches, no pages — so
-    /// the component map is event-closed and [`PartitionedEngine`] runs it
-    /// under [`Lookahead::Closed`]: every partition drains to completion
-    /// in a single unbounded window. The history, outcome, and
-    /// observations are byte-identical at every partition count; only
-    /// wall-clock time changes. Multi-cell runs skip the profiler.
+    /// the component map is event-closed and [`PartitionedEngine`] runs
+    /// every partition to completion on its own thread. The history,
+    /// outcome, and observations are byte-identical at every partition
+    /// count; only wall-clock time changes. Multi-cell runs skip the
+    /// profiler.
     ///
     /// # Panics
     ///
     /// Panics if the node allocation does not fit (the cluster needs
     /// `job_workers + netram_hosts + 2` nodes or more), and on a
-    /// multi-cell spec with a non-empty fault plan: control-plane messages
-    /// are delivered with zero latency, which no conservative lookahead
-    /// covers, so faulted runs must stay at `cells = 1`.
+    /// multi-cell spec with a non-empty fault plan: a [`FaultPlan`] names
+    /// cluster-wide nodes and disks, but every cell's injector and
+    /// cluster control would replay the whole plan against its own
+    /// nodes and storage array, so faulted runs must stay at `cells = 1`.
     pub fn run_scenario_observed(
         &self,
         spec: &ScenarioSpec,
@@ -1050,9 +1050,9 @@ impl NowCluster {
         if spec.cells > 1 {
             assert!(
                 spec.faults.is_empty(),
-                "faulted runs cannot shard across cells: fault control messages \
-                 have zero latency, which no conservative lookahead covers (run \
-                 with cells = 1)"
+                "faulted runs cannot shard across cells: a fault plan names \
+                 cluster-wide nodes and disks, but every cell's injector and \
+                 cluster control would replay the whole plan (run with cells = 1)"
             );
             let home = self.plan_partitions(spec.cells, spec.partitions);
             let mut engine = self.cell_engine(&home, spec.am_batch, &observer.probe);
@@ -1114,7 +1114,7 @@ impl NowCluster {
                 }))
             })
             .collect();
-        PartitionedEngine::new(cost_models, Lookahead::Closed)
+        PartitionedEngine::new(cost_models)
     }
 
     /// The coupled scenario on `host`, one cell per entry of `home` (the

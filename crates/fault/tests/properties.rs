@@ -103,7 +103,7 @@ fn monte_carlo_reproduces_the_availability_ordering() {
 /// run must replay the serial delivery history bit-for-bit.
 mod partitioned {
     use now_fault::{Fault, FaultInjectorComponent, FaultPlan, InjectorEvent};
-    use now_sim::{Component, Ctx, Engine, EventCast, Lookahead, PartitionedEngine, SimTime};
+    use now_sim::{Component, Ctx, Engine, EventCast, PartitionedEngine, SimTime};
     use proptest::prelude::*;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,12 +178,10 @@ mod partitioned {
             .collect()
     }
 
-    /// The same pairs homed round-robin across partitions under an
-    /// event-closed map: each pair stays whole, so `Lookahead::Closed`
-    /// is legal and no windows are needed.
+    /// The same pairs homed round-robin across partitions: each pair
+    /// stays whole, so the map is event-closed.
     fn partitioned_logs(plans: &[FaultPlan], partitions: usize) -> Vec<Vec<(SimTime, Fault)>> {
-        let mut engine: PartitionedEngine<Ev> =
-            PartitionedEngine::with_fixed(partitions, Lookahead::Closed);
+        let mut engine: PartitionedEngine<Ev> = PartitionedEngine::with_fixed(partitions);
         let mut registered = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             let home = (i % partitions) as u32;

@@ -16,10 +16,10 @@
 //!   constant cost ([`CostModel::Fixed`]) or against one shared
 //!   [`Transport`] fabric ([`CostModel::Fabric`]), so coupled simulations
 //!   model cross-subsystem contention.
-//! * [`PartitionedEngine`] — conservative parallel execution: one run
-//!   sharded into N partitions on scoped threads, synchronized by
-//!   fabric-latency lookahead windows with a deterministic barrier merge,
-//!   so the partitioned run reproduces the serial history exactly.
+//! * [`PartitionedEngine`] — parallel execution of one run whose
+//!   components form event-closed groups: N partitions, each run to
+//!   completion on its own scoped thread with no synchronisation, so the
+//!   partitioned run reproduces the serial history exactly.
 //! * [`SimRng`] — a seeded random source with the distributions the workload
 //!   generators need (uniform, exponential, Zipf, Pareto, normal) implemented
 //!   locally so results do not drift with external crate versions.
@@ -66,7 +66,7 @@ pub use engine::{
     CausalRecord, CausalSink, Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast,
     TransferCost, Transport,
 };
-pub use partition::{Lookahead, PartitionedEngine};
+pub use partition::PartitionedEngine;
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};
 pub use rng::{SimRng, ZipfSampler};

@@ -20,13 +20,6 @@ impl EventId {
     pub const fn seq(self) -> u64 {
         self.0
     }
-
-    /// Sentinel id returned for events handed across a partition boundary:
-    /// the event lives in *another* partition's queue, so there is no local
-    /// seq to name. `u64::MAX` can never be a live local seq (the pending
-    /// window would need 2^64 events), so cancelling this id is a
-    /// deterministic no-op — exactly the semantics a stale id has.
-    pub(crate) const CROSS_PARTITION: EventId = EventId(u64::MAX);
 }
 
 struct Scheduled<E> {
@@ -71,21 +64,13 @@ impl<E> Eq for Scheduled<E> {}
 /// appear, so memory tracks the span between the oldest live event and
 /// the newest, not the queue's lifetime event count.
 ///
-/// # Single-consumer invariants (partitioned execution)
+/// # Single-consumer invariant (partitioned execution)
 ///
 /// The monotone-insert assumption and the front-trim both presume exactly
 /// one consumer driving this queue. Partitioned runs preserve that: each
-/// partition's queue is owned by one worker thread inside a window, and
-/// cross-partition envelopes are injected *between* windows, on the
-/// coordinating thread, through the same `&mut` the worker just released.
-/// Injection goes through [`EventQueue::schedule_at`], so an injected
-/// envelope draws a fresh seq from *this* queue's counter — the sender's
-/// seq never enters this window, `base` never has to move backwards, and
-/// the "seqs are allocated monotonically" debug assertion holds at window
-/// boundaries exactly as it does mid-window. The only cross-partition
-/// requirement is temporal: an injected envelope must fire at or after
-/// this queue's `now`, which the conservative lookahead window guarantees
-/// (see `partition.rs`).
+/// partition's queue is owned by the one worker thread that runs its
+/// engine, and partitions exchange no events, so nothing else ever
+/// schedules into it.
 #[derive(Default)]
 struct PendingSet {
     /// Seq mapped to bit 0 of `words[0]`; always a multiple of 64.
@@ -301,23 +286,6 @@ impl<E> EventQueue<E> {
             .map(|s| (s.time, s.seq))
             .min()
             .map(|(time, _)| time)
-    }
-
-    /// [`EventQueue::peek_time`] that also discards any tombstones sitting
-    /// at the top of the heap, reclaiming their storage immediately. The
-    /// live-top invariant makes this equivalent to `peek_time` in normal
-    /// operation; it exists for callers that want compaction on a borrow
-    /// they already hold mutably.
-    ///
-    /// Like every `&mut` method here, this assumes a single consumer; the
-    /// partitioned engine only calls it between windows, when the owning
-    /// worker thread has been joined (see [`PendingSet`]'s invariant
-    /// notes). Compaction never reorders live events — it only drops
-    /// tombstones — so peeking the window edge through this method and
-    /// then injecting envelopes at or past that edge is safe.
-    pub fn peek_time_compacting(&mut self) -> Option<SimTime> {
-        self.drain_dead_top();
-        self.peek_time()
     }
 
     /// Number of pending (non-cancelled) events.
@@ -540,20 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_compacting_agrees_with_peek_time() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..10)
-            .map(|i| q.schedule_at(SimTime::from_micros(i), i))
-            .collect();
-        for id in &ids[..5] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
-        assert_eq!(q.peek_time_compacting(), Some(SimTime::from_micros(5)));
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
     fn cancelled_top_never_surfaces_through_peek() {
         let mut q = EventQueue::new();
         // Cancel the earliest events in a different order than scheduled,
@@ -590,44 +544,10 @@ mod tests {
     }
 
     #[test]
-    fn window_edge_injection_is_never_in_the_past() {
-        // Regression for partitioned execution: a partition drains events
-        // *strictly* before the window edge, so its clock ends at most one
-        // event short of the edge; envelopes injected at the barrier fire
-        // at or after the edge and must schedule cleanly (no
-        // schedule-into-past panic), keep FIFO order, and survive the
-        // bitset's front-trim kicking in mid-run.
-        let mut q = EventQueue::new();
-        let edge = SimTime::from_micros(100);
-        // A churny first window so the pending window front-trims: many
-        // schedule+cancel pairs, then live events just below the edge.
-        for round in 0..300u64 {
-            let id = q.schedule_after(SimDuration::from_micros(1), round);
-            q.cancel(id);
-        }
-        q.schedule_at(SimTime::from_micros(98), 1_000);
-        q.schedule_at(SimTime::from_micros(99), 1_001);
-        // Drain the window: everything strictly before `edge`.
-        while q.peek_time_compacting().is_some_and(|t| t < edge) {
-            q.pop();
-        }
-        assert_eq!(q.now(), SimTime::from_micros(99));
-        // Barrier: inject cross-partition envelopes at exactly the edge
-        // and just past it. Both are >= now by the lookahead argument.
-        q.schedule_at(edge, 2_000);
-        q.schedule_at(edge, 2_001);
-        q.schedule_at(edge + SimDuration::from_micros(3), 2_002);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![2_000, 2_001, 2_002], "injection stays FIFO");
-        assert_eq!(q.now(), SimTime::from_micros(103));
-    }
-
-    #[test]
     #[should_panic(expected = "in the past")]
     fn injection_before_the_drained_edge_still_panics() {
-        // The guard satellite-audited here must keep firing: if a window
-        // ever drained *through* the edge (a lookahead bug), injecting at
-        // the edge would rewrite history and must panic loudly.
+        // Scheduling behind the clock would rewrite history: once an
+        // event at the edge has fired, anything earlier must panic loudly.
         let mut q = EventQueue::new();
         let edge = SimTime::from_micros(100);
         q.schedule_at(edge, 1); // wrongly processed at the edge itself
